@@ -8,17 +8,23 @@
 // The observability satellite adds two gates on top of the scaling runs:
 // the steady-state allocation audit executes with metrics, spans and a
 // trace ring all enabled (the zero-alloc contract must hold with
-// instrumentation ON), and a tracing-off vs tracing-on pair at the best
+// instrumentation ON), and tracing-off vs tracing-on runs at the best
 // thread count must agree bitwise while costing < obs_overhead_max
-// (default 3%) in cells/sec.
+// (default 3%). The overhead is the median over `obs_reps` interleaved
+// off/on pairs of the on/off process-CPU-time ratio, each side timed over
+// a window of repeated sweeps (~1 s of wall time), so one noisy window
+// cannot fail it.
 //
 //   ./bench_scenario_sweep [threads=1,2,4,8] [cells=16] [months=3] [scale=0.4]
-//                          [obs_overhead_max=0.03] [obs_reps=3]
+//                          [obs_overhead_max=0.03] [obs_reps=31]
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
+
+#include <time.h>
 
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
@@ -75,29 +81,33 @@ bool audit_steady_state_allocs(const mirage::scenario::ScenarioSpec& spec,
   return per_pass <= 0.01;
 }
 
-/// Best (max) cells/sec over `reps` sweep runs at a fixed thread count —
-/// min-time repetition damps scheduler noise around the <3% overhead gate.
-/// Every run's combined hash is checked against `expect_hash`, so this
-/// doubles as the tracing-on == tracing-off bitwise determinism check.
-double measure_cells_per_sec(const std::vector<mirage::scenario::ScenarioSpec>& cells,
-                             std::size_t threads, int reps, std::uint64_t expect_hash,
-                             mirage::scenario::SweepTrace* trace, bool* hashes_ok) {
+/// CPU time consumed so far by every thread of the process, in seconds.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+struct SweepTime {
+  double wall = 0.0;
+  double cpu = 0.0;
+};
+
+/// Wall and process CPU time of one sweep at a fixed thread count. The
+/// combined hash is checked against `expect_hash`, so this doubles as the
+/// tracing-on == tracing-off bitwise determinism check.
+SweepTime time_sweep(const std::vector<mirage::scenario::ScenarioSpec>& cells,
+                     std::size_t threads, std::uint64_t expect_hash,
+                     mirage::scenario::SweepTrace* trace, bool* hashes_ok) {
   using namespace mirage;
-  // Ring allocation is one-time setup, not steady-state tracing cost —
-  // keep it outside the timed region so the overhead gate measures the
-  // per-event price, not a 25 MB calloc amortized over the first rep.
-  if (trace != nullptr) trace->prepare(cells);
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = util::wall_seconds();
-    const auto report = scenario::SweepRunner(threads).run(cells, trace);
-    const double seconds = util::wall_seconds() - t0;
-    std::uint64_t combined = util::kFnv1a64Basis;
-    for (const auto& c : report.cells) combined ^= c.schedule_hash;
-    if (combined != expect_hash) *hashes_ok = false;
-    best = std::max(best, static_cast<double>(cells.size()) / seconds);
-  }
-  return best;
+  const double t0 = util::wall_seconds();
+  const double c0 = process_cpu_seconds();
+  const auto report = scenario::SweepRunner(threads).run(cells, trace);
+  const SweepTime t{util::wall_seconds() - t0, process_cpu_seconds() - c0};
+  std::uint64_t combined = util::kFnv1a64Basis;
+  for (const auto& c : report.cells) combined ^= c.schedule_hash;
+  if (combined != expect_hash) *hashes_ok = false;
+  return t;
 }
 
 }  // namespace
@@ -162,6 +172,7 @@ int main(int argc, char** argv) {
                          ",cluster=" + matrix.base.cluster);
   json.add("cells", static_cast<std::int64_t>(cells.size()));
   double best_cells_per_sec = 0.0;
+  double best_seconds = 0.0;
   std::size_t best_threads = 0;
   for (const std::size_t threads : thread_counts) {
     const double t0 = util::wall_seconds();
@@ -182,6 +193,7 @@ int main(int argc, char** argv) {
     json.add("cells_per_sec_t" + std::to_string(threads), cells_per_sec);
     if (cells_per_sec > best_cells_per_sec) {
       best_cells_per_sec = cells_per_sec;
+      best_seconds = seconds;
       best_threads = threads;
     }
     if (!identical) {
@@ -195,21 +207,58 @@ int main(int argc, char** argv) {
   // ---- observability overhead gate: tracing off vs on at best_threads ----
   // Same cells, same thread count; the only difference is obs::enabled()
   // plus a per-cell trace ring. Results must stay bitwise identical and
-  // the throughput cost must stay under obs_overhead_max.
+  // the median paired on/off CPU-time ratio must stay under
+  // 1+obs_overhead_max. Tracing costs CPU on the cell threads, and process
+  // CPU time counts all of it, but not the time a worker sits preempted:
+  // on a shared box that preemption stretches a parallel sweep's wall time
+  // (the slowest worker sets it) by far more than the 3% being gated. Each
+  // pair times ~kWindowSeconds of sweeps per side, interleaved one sweep at
+  // a time in off/on, on/off order so slow drift charges both sides alike;
+  // the median over pairs then discards the pairs a hiccup landed in.
+  constexpr double kWindowSeconds = 1.0;
   const double overhead_max = cli.get_double("obs_overhead_max", 0.03);
-  const int reps = static_cast<int>(cli.get_int("obs_reps", 3));
+  const int pairs = std::max(1, static_cast<int>(cli.get_int("obs_reps", 31)));
+  // An even sweep count per side, so off-first and on-first sweeps balance.
+  const int runs =
+      2 * std::max(1, static_cast<int>(std::ceil(kWindowSeconds / (2 * best_seconds))));
   bool hashes_ok = true;
-  obs::set_enabled(false);
-  const double off_cps = measure_cells_per_sec(cells, best_threads, reps, base_hash, nullptr,
-                                               &hashes_ok);
-  obs::set_enabled(true);
   scenario::SweepTrace trace;
-  const double on_cps = measure_cells_per_sec(cells, best_threads, reps, base_hash, &trace,
-                                              &hashes_ok);
-  const double overhead = off_cps > 0.0 ? std::max(0.0, (off_cps - on_cps) / off_cps) : 0.0;
-  std::printf("obs overhead: off %6.2f cells/s, on %6.2f cells/s (%.2f%%, max %.0f%%), "
+  // Ring allocation is one-time setup, not steady-state tracing cost —
+  // keep it outside the timed windows so the gate measures the per-event
+  // price, not a 25 MB calloc.
+  trace.prepare(cells);
+  std::vector<double> ratios;
+  double off_wall = 0.0, on_wall = 0.0;
+  for (int p = 0; p < pairs; ++p) {
+    SweepTime off, on;
+    for (int r = 0; r < runs; ++r) {
+      for (int side = 0; side < 2; ++side) {
+        const bool tracing = (side == 0) == (r % 2 == 1);
+        obs::set_enabled(tracing);
+        const SweepTime t =
+            time_sweep(cells, best_threads, base_hash, tracing ? &trace : nullptr, &hashes_ok);
+        SweepTime& sum = tracing ? on : off;
+        sum.wall += t.wall;
+        sum.cpu += t.cpu;
+      }
+    }
+    off_wall += off.wall;
+    on_wall += on.wall;
+    ratios.push_back(on.cpu / off.cpu);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t mid = ratios.size() / 2;
+  const double median_ratio =
+      ratios.size() % 2 == 1 ? ratios[mid] : 0.5 * (ratios[mid - 1] + ratios[mid]);
+  const double overhead = std::max(0.0, median_ratio - 1.0);
+  const double swept = static_cast<double>(cells.size()) * runs * pairs;
+  const double off_cps = swept / off_wall;
+  const double on_cps = swept / on_wall;
+  std::printf("obs overhead: %d pairs x %d sweeps, on/off cpu ratio min %.4f median %.4f "
+              "max %.4f (%.2f%%, max %.0f%%), off %6.2f cells/s, on %6.2f cells/s, "
               "%llu trace events, identical=%s\n",
-              off_cps, on_cps, 100.0 * overhead, 100.0 * overhead_max,
+              pairs, runs, ratios.front(), median_ratio, ratios.back(), 100.0 * overhead,
+              100.0 * overhead_max, off_cps, on_cps,
               static_cast<unsigned long long>(trace.total_events()), hashes_ok ? "yes" : "NO");
   json.add("cells_per_sec_obs_off", off_cps);
   json.add("cells_per_sec_obs_on", on_cps);

@@ -7,16 +7,17 @@
 //   2. zero-alloc— closed-loop blocking decides over a hot session set,
 //                  audited by the counting allocator: the steady-state
 //                  decide path must perform ZERO heap allocations
-//                  (observation buffers, ring slots and latency reservoir
-//                  are all preallocated / circulating). This is the gated
-//                  decisions_per_sec measurement;
+//                  (observation buffers, ring slots, completion tokens
+//                  and latency reservoir are all preallocated /
+//                  circulating). This is the gated decisions_per_sec
+//                  measurement;
 //   3. latency   — a paced async phase feeds the latency reservoir, then
 //                  p50/p99/p99.9 come from the engine snapshot with the
 //                  p99 bounded by `p99_limit_ms`;
 //   4. TTL       — the cold sessions (everything outside the hot set) sit
 //                  idle past `ttl` and must be reaped by the lazy check +
-//                  one-shard-per-tick background sweeper (+ a final
-//                  explicit sweep), evictions >= sessions - hot;
+//                  the background LRU sweeper (+ a final explicit sweep),
+//                  evictions >= sessions - hot;
 //   5. backpressure — a deliberately slow model behind a tiny bounded
 //                  queue must reject a burst with BackpressureRejected,
 //                  never grow the queue without bound.
@@ -50,7 +51,7 @@
 //                  enter the failed state.
 //
 // The service is measured around an allocation-free stub model so the
-// audit isolates the serving layers (shards, engine ring, waiter pool)
+// audit isolates the serving layers (shards, engine ring, token pool)
 // from NN-forward internals; bench_serve_throughput covers the real
 // model. Emits BENCH_serve_soak.json (decisions_per_sec is the
 // bench_compare-gated key).
@@ -62,7 +63,6 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -116,6 +116,16 @@ struct SlowStubModel : StubModel {
   std::chrono::microseconds stall_;
 };
 
+/// Non-throwing blocking decide: false on backpressure or drain.
+bool try_decide(serve::ProvisioningService& svc, serve::SessionId id, serve::Decision& out) {
+  serve::AsyncDecision pending;
+  if (svc.try_decide_async(id, pending) != serve::BatchedInferenceEngine::SubmitResult::kOk) {
+    return false;
+  }
+  out = pending.get();
+  return true;
+}
+
 sim::StateSample soak_sample(std::uint64_t step) {
   sim::StateSample s;
   s.now = static_cast<util::SimTime>(step) * 600;
@@ -147,9 +157,6 @@ int main(int argc, char** argv) {
   cfg.engine.max_batch = static_cast<std::size_t>(cli.get_int("max_batch", 256));
   cfg.engine.coalesce_wait = std::chrono::microseconds(cli.get_int("coalesce_us", 100));
   cfg.engine.max_queue = static_cast<std::size_t>(cli.get_int("max_queue", 8192));
-  // The audited window must not ride the shared pool: pool submission
-  // allocates a task per tick. The engine thread runs the stub inline.
-  cfg.engine.use_thread_pool = false;
   // SLO evaluation live during the audit: generous objectives that a
   // healthy soak never breaches, so the sweeper ticks the full evaluate
   // path every interval without state transitions (the allocation-free
@@ -215,20 +222,17 @@ int main(int argc, char** argv) {
         // first circulates back to a caller, so the audited window only
         // starts after each of the max_queue slots has carried at least
         // one request. Fresh client threads each rep also need their
-        // thread_local observation buffers and waiter slots grown.
+        // thread_local observation buffers grown.
         const std::size_t warm = cfg.engine.max_queue / clients + 1024;
         const std::size_t pool = std::min(hot, sids.size());
         for (std::size_t i = 0; i < warm; ++i) {
-          svc.try_decide(sids[(c * 7919 + i) % pool], d);
+          try_decide(svc, sids[(c * 7919 + i) % pool], d);
         }
         ready.fetch_add(1);
         while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
         std::uint64_t served = 0;
         for (std::size_t i = 0; i < per_client; ++i) {
-          if (svc.try_decide(sids[(c * 104729 + i) % pool], d) ==
-              serve::BatchedInferenceEngine::SubmitResult::kOk) {
-            ++served;
-          }
+          if (try_decide(svc, sids[(c * 104729 + i) % pool], d)) ++served;
         }
         steady_served.fetch_add(served);
       });
@@ -279,13 +283,13 @@ int main(int argc, char** argv) {
 
   // ---- phase 3: paced async latency --------------------------------------
   const std::size_t burst = std::max<std::size_t>(1, qps / 1000);
-  std::vector<std::future<serve::Decision>> in_flight;
+  std::vector<serve::AsyncDecision> in_flight;
   in_flight.reserve(2048);
   std::size_t paced = 0;
   const double pace_end = util::wall_seconds() + qps_seconds;
   while (util::wall_seconds() < pace_end) {
     for (std::size_t b = 0; b < burst; ++b) {
-      in_flight.push_back(service.decide_async(ids[paced++ % hot]));
+      in_flight.push_back(service.decide_async_pooled(ids[paced++ % hot]));
     }
     if (in_flight.size() >= 1024) {
       for (auto& f : in_flight) f.get();
@@ -325,9 +329,8 @@ int main(int argc, char** argv) {
   // allocation counter and fail the zero-alloc gates spuriously.
 
   // ---- phase 4b: pooled-token async audit ---------------------------------
-  // decide_async_pooled recycles completion tokens from a pool instead of
-  // allocating a promise/future pair per request. A windowed loop keeps
-  // kPooledWindow handles in flight; after the warmup has grown the pool
+  // decide_async_pooled recycles completion tokens from a pool. A
+  // windowed loop keeps kPooledWindow handles in flight; after the warmup has grown the pool
   // to window depth, the audited window must not allocate at all — the
   // same tokens circulate for every request.
   double pooled_decisions_per_sec = 0.0;
@@ -429,25 +432,26 @@ int main(int argc, char** argv) {
   bp_cfg.engine.max_batch = 1;
   bp_cfg.engine.max_queue = static_cast<std::size_t>(cli.get_int("bp_queue", 8));
   bp_cfg.engine.coalesce_wait = std::chrono::microseconds(0);
-  bp_cfg.engine.use_thread_pool = false;
   auto slow = std::make_shared<const SlowStubModel>(
       k, std::chrono::microseconds(cli.get_int("bp_stall_us", 2000)));
   serve::ProvisioningService bp_service(serve::ModelSnapshot(slow), bp_cfg);
   bp_service.start();
   const auto bp_id = bp_service.open_session();
   bp_service.observe(bp_id, soak_sample(0), ctx);
-  std::vector<std::future<serve::Decision>> bp_futures;
+  std::vector<serve::AsyncDecision> bp_pending;
   const auto bp_burst = static_cast<std::size_t>(cli.get_int("bp_burst", 64));
-  for (std::size_t i = 0; i < bp_burst; ++i) {
-    bp_futures.push_back(bp_service.decide_async(bp_id));
-  }
   std::size_t bp_rejected = 0;
-  for (auto& f : bp_futures) {
-    try {
-      f.get();
-    } catch (const serve::BackpressureRejected&) {
+  for (std::size_t i = 0; i < bp_burst; ++i) {
+    serve::AsyncDecision pending;
+    if (bp_service.try_decide_async(bp_id, pending) ==
+        serve::BatchedInferenceEngine::SubmitResult::kRejectedBackpressure) {
       ++bp_rejected;
+    } else {
+      bp_pending.push_back(std::move(pending));
     }
+  }
+  for (auto& pending : bp_pending) {
+    if (pending.valid()) (void)pending.get();
   }
   bp_service.drain_and_stop();
   const auto bp_report = bp_service.report();
@@ -478,7 +482,6 @@ int main(int argc, char** argv) {
     breach_cfg.shards = 1;
     breach_cfg.engine.max_batch = 8;
     breach_cfg.engine.coalesce_wait = std::chrono::microseconds(0);
-    breach_cfg.engine.use_thread_pool = false;
     breach_cfg.sweep_interval_seconds = 0.02;
     breach_cfg.slo.enabled = true;
     breach_cfg.slo.latency_target_seconds = 1e-6;  // unmeetable on purpose
@@ -497,7 +500,7 @@ int main(int argc, char** argv) {
     serve::Decision d;
     const double breach_deadline = util::wall_seconds() + 5.0;
     while (util::wall_seconds() < breach_deadline) {
-      breach_service.try_decide(breach_id, d);
+      try_decide(breach_service, breach_id, d);
       slo_fires = 0;
       for (const auto& status : breach_service.slo_statuses()) {
         slo_fires += status.fires;

@@ -22,7 +22,6 @@
 //                            [kind=dqn]
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -172,9 +171,17 @@ int main(int argc, char** argv) {
     std::vector<std::thread> threads;
     for (std::size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
-        std::vector<std::future<serve::Decision>> futs;
-        for (std::size_t i = c; i < n; i += clients) futs.push_back(engine.submit(observations[i]));
-        for (auto& f : futs) f.get();
+        std::vector<serve::AsyncDecision> pending;
+        std::vector<float> obs;
+        for (std::size_t i = c; i < n; i += clients) {
+          obs = observations[i];
+          pending.emplace_back();
+          if (engine.submit_pooled(obs, pending.back()) !=
+              serve::BatchedInferenceEngine::SubmitResult::kOk) {
+            throw serve::BackpressureRejected();
+          }
+        }
+        for (auto& d : pending) d.get();
       });
     }
     for (auto& t : threads) t.join();

@@ -39,7 +39,6 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <set>
 
 #include "core/checkpoint.hpp"
@@ -141,19 +140,19 @@ int main(int argc, char** argv) {
     const auto sample = sim.sample();
 
     // Each session provisions its own successor job (varied shape/age).
-    std::vector<std::future<serve::Decision>> futures;
-    futures.reserve(sessions);
+    std::vector<serve::AsyncDecision> pending;
+    pending.reserve(sessions);
     for (std::size_t s = 0; s < sessions; ++s) {
       rl::JobPairContext ctx;
       ctx.pred_nodes = 1 + static_cast<std::int32_t>(s % 4);
       ctx.pred_elapsed = static_cast<util::SimTime>((s * 3 + r) % 40) * util::kHour;
       ctx.succ_nodes = ctx.pred_nodes;
       service.observe(ids[s], sample, ctx);
-      futures.push_back(service.decide_async(ids[s]));
+      pending.push_back(service.decide_async_pooled(ids[s]));
     }
     std::size_t round_submits = 0;
-    for (auto& f : futures) {
-      const auto d = f.get();
+    for (auto& p : pending) {
+      const auto d = p.get();
       round_submits += (d.action == 1);
       versions_seen.insert(d.model_version);
     }
@@ -274,8 +273,7 @@ int main(int argc, char** argv) {
           victim.observe(vids[s], feed[f], dur_ctx(s));
         }
       }
-      serve::Decision d;
-      for (std::size_t s = 0; s < kDurSessions; ++s) victim.try_decide(vids[s], d);
+      for (std::size_t s = 0; s < kDurSessions; ++s) (void)victim.decide(vids[s]);
       std::raise(SIGKILL);  // decide() returned => those records are fsynced
       _exit(9);
     }
@@ -300,8 +298,7 @@ int main(int argc, char** argv) {
         control.observe(cids[s], feed[f], dur_ctx(s));
       }
     }
-    serve::Decision cd;
-    for (std::size_t s = 0; s < kDurSessions; ++s) control.try_decide(cids[s], cd);
+    for (std::size_t s = 0; s < kDurSessions; ++s) (void)control.decide(cids[s]);
 
     // Survivor: warm restart over the journal the dead child left behind.
     serve::ProvisioningService survivor(registry, key, dur_cfg);

@@ -51,8 +51,8 @@ class ScopedNumThreads {
 namespace detail {
 /// Persistent hardware-sized worker pool dedicated to GEMM tiles. A pool
 /// of its own (not util::ThreadPool::global()) so a GEMM issued FROM a
-/// global-pool worker — lab cells, the serve engine's tick forward — can
-/// never deadlock waiting for slots behind its own caller.
+/// global-pool worker — a lab cell, say — can never deadlock waiting for
+/// slots behind its own caller.
 util::ThreadPool& gemm_pool();
 }  // namespace detail
 

@@ -25,7 +25,9 @@ std::pair<float, float> DqnAgent::q_pair(std::vector<float> observation) {
   std::copy(observation.begin(), observation.end(), x.row(0));
   set_action_channel(observation, k, kSubmitOrdinal);
   std::copy(observation.begin(), observation.end(), x.row(1));
-  nn::Tensor q = model_.forward_q(x, /*train=*/false);
+  // infer_q is bitwise-identical to forward_q(x, false) but runs a Top-1
+  // MoE row through its routed expert only.
+  nn::Tensor q = model_.infer_q(x);
   return {q.at(0, 0), q.at(1, 0)};
 }
 

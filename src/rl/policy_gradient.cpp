@@ -19,7 +19,7 @@ float PgAgent::submit_probability(std::vector<float> observation) {
   set_action_channel(observation, config_.net.history_len, 0.0f);
   nn::Tensor x(1, observation.size());
   std::copy(observation.begin(), observation.end(), x.row(0));
-  nn::Tensor probs = model_.forward_policy(x, /*train=*/false);
+  nn::Tensor probs = model_.infer_policy(x);  // bitwise == forward_policy(x, false)
   return probs.at(0, 1);
 }
 

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 #include "util/time_utils.hpp"
 
 namespace mirage::serve {
@@ -173,79 +172,6 @@ BatchedInferenceEngine::Request* BatchedInferenceEngine::reserve_slot_locked() {
   return &slot;
 }
 
-std::future<Decision> BatchedInferenceEngine::submit(
-    std::vector<float> observation, std::function<void(const Decision&)> on_complete,
-    std::uint64_t request_id) {
-  std::promise<Decision> promise;
-  auto fut = promise.get_future();
-  std::size_t slot_index = 0;
-  double enqueue_seconds = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (draining_) {
-      promise.set_exception(std::make_exception_ptr(
-          std::runtime_error("BatchedInferenceEngine: draining, request rejected")));
-      return fut;
-    }
-    Request* slot = reserve_slot_locked();
-    if (!slot) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      engine_rejected_counter().add();
-      promise.set_exception(std::make_exception_ptr(BackpressureRejected()));
-      return fut;
-    }
-    slot->observation = std::move(observation);
-    slot->promise.emplace(std::move(promise));
-    slot->on_complete = std::move(on_complete);
-    slot->waiter = nullptr;
-    slot->token = nullptr;
-    slot->enqueue_seconds = enqueue_seconds = util::wall_seconds();
-    slot->request_id = request_id;
-    slot_index = static_cast<std::size_t>(slot - ring_.data());
-  }
-  cv_.notify_one();
-  if (request_id != 0 && obs::enabled()) {
-    record_enqueue_event(request_id, slot_index, enqueue_seconds);
-  }
-  return fut;
-}
-
-BatchedInferenceEngine::SubmitResult BatchedInferenceEngine::try_decide_blocking(
-    std::vector<float>& observation, Decision& out, std::uint64_t request_id) {
-  thread_local detail::BlockingWaiter waiter;
-  waiter.done = false;
-  waiter.error = nullptr;
-  std::size_t slot_index = 0;
-  double enqueue_seconds = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (draining_) return SubmitResult::kDraining;
-    Request* slot = reserve_slot_locked();
-    if (!slot) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      engine_rejected_counter().add();
-      return SubmitResult::kRejectedBackpressure;
-    }
-    slot->observation.swap(observation);  // capacities circulate, no alloc
-    slot->promise.reset();
-    slot->on_complete = nullptr;
-    slot->waiter = &waiter;
-    slot->token = nullptr;
-    slot->enqueue_seconds = enqueue_seconds = util::wall_seconds();
-    slot->request_id = request_id;
-    slot_index = static_cast<std::size_t>(slot - ring_.data());
-  }
-  cv_.notify_one();
-  if (request_id != 0 && obs::enabled()) {
-    record_enqueue_event(request_id, slot_index, enqueue_seconds);
-  }
-  std::unique_lock<std::mutex> lk(waiter.mutex);
-  waiter.cv.wait(lk, [&] { return waiter.done; });
-  if (waiter.error) std::rethrow_exception(waiter.error);
-  out = waiter.decision;
-  return SubmitResult::kOk;
-}
-
 BatchedInferenceEngine::SubmitResult BatchedInferenceEngine::submit_pooled(
     std::vector<float>& observation, AsyncDecision& out, PooledCompletion completion,
     std::uint64_t request_id) {
@@ -272,9 +198,6 @@ BatchedInferenceEngine::SubmitResult BatchedInferenceEngine::submit_pooled(
       return SubmitResult::kRejectedBackpressure;
     }
     slot->observation.swap(observation);  // capacities circulate, no alloc
-    slot->promise.reset();
-    slot->on_complete = nullptr;
-    slot->waiter = nullptr;
     slot->token = token;
     slot->enqueue_seconds = enqueue_seconds = util::wall_seconds();
     slot->request_id = request_id;
@@ -286,20 +209,6 @@ BatchedInferenceEngine::SubmitResult BatchedInferenceEngine::submit_pooled(
   }
   out = AsyncDecision(token, &token_pool_);
   return SubmitResult::kOk;
-}
-
-Decision BatchedInferenceEngine::decide_blocking(std::vector<float>& observation,
-                                                 std::uint64_t request_id) {
-  Decision out;
-  switch (try_decide_blocking(observation, out, request_id)) {
-    case SubmitResult::kOk:
-      return out;
-    case SubmitResult::kRejectedBackpressure:
-      throw BackpressureRejected();
-    case SubmitResult::kDraining:
-      break;
-  }
-  throw std::runtime_error("BatchedInferenceEngine: draining, request rejected");
 }
 
 void BatchedInferenceEngine::drain() {
@@ -321,13 +230,8 @@ void BatchedInferenceEngine::drain() {
       std::lock_guard<std::mutex> lock(mutex_);
       if (queued_ == 0) break;
       Request& slot = ring_[head_];
-      leftover.promise = std::move(slot.promise);
-      slot.promise.reset();
-      leftover.waiter = slot.waiter;
-      slot.waiter = nullptr;
       leftover.token = slot.token;
       slot.token = nullptr;
-      slot.on_complete = nullptr;
       head_ = (head_ + 1) % ring_.size();
       --queued_;
     }
@@ -388,12 +292,6 @@ void BatchedInferenceEngine::run() {
       for (std::size_t i = 0; i < take; ++i) {
         Request& slot = ring_[head_];
         observations_[i].swap(slot.observation);
-        batch_[i].promise = std::move(slot.promise);
-        slot.promise.reset();
-        batch_[i].on_complete = std::move(slot.on_complete);
-        slot.on_complete = nullptr;
-        batch_[i].waiter = slot.waiter;
-        slot.waiter = nullptr;
         batch_[i].token = slot.token;
         slot.token = nullptr;
         batch_[i].enqueue_seconds = slot.enqueue_seconds;
@@ -409,66 +307,30 @@ void BatchedInferenceEngine::run() {
 
 void BatchedInferenceEngine::fulfill(Request& req, const Decision* decision,
                                      const std::exception_ptr& failure) {
+  detail::CompletionToken* t = req.token;
+  req.token = nullptr;
   std::exception_ptr resolve_error = failure;
-  if (!resolve_error && req.on_complete) {
+  if (!resolve_error && t->on_complete) {
     try {
-      req.on_complete(*decision);
+      t->on_complete(t->ctx_a, t->ctx_b, t->ctx_c, t->ctx_id, *decision);
     } catch (...) {
-      // A throwing callback must not take down the engine thread or
-      // starve the rest of the batch — it fails only its own request.
+      // A throwing hook must not take down the engine thread or starve
+      // the rest of the batch — it fails only its own request.
       resolve_error = std::current_exception();
     }
   }
-  if (req.token && !resolve_error && req.token->on_complete) {
-    try {
-      req.token->on_complete(req.token->ctx_a, req.token->ctx_b, req.token->ctx_c,
-                             req.token->ctx_id, *decision);
-    } catch (...) {
-      resolve_error = std::current_exception();
-    }
+  std::lock_guard<std::mutex> lock(t->mutex);
+  if (resolve_error) {
+    t->error = resolve_error;
+  } else {
+    t->decision = *decision;
   }
-  if (req.waiter) {
-    detail::BlockingWaiter* w = req.waiter;
-    {
-      std::lock_guard<std::mutex> lock(w->mutex);
-      if (resolve_error) {
-        w->error = resolve_error;
-      } else {
-        w->decision = *decision;
-      }
-      w->done = true;
-      // Notify INSIDE the lock: the waiter is a caller thread_local, and
-      // once it observes done it may exit and destroy the cv. Holding the
-      // mutex across the notify means the waiter cannot get past its wait
-      // (it must reacquire the mutex) until this touch of the cv is over.
-      w->cv.notify_one();
-    }
-    req.waiter = nullptr;
-  } else if (req.token) {
-    detail::CompletionToken* t = req.token;
-    {
-      std::lock_guard<std::mutex> lock(t->mutex);
-      if (resolve_error) {
-        t->error = resolve_error;
-      } else {
-        t->decision = *decision;
-      }
-      t->done = true;
-      // Same done-inside-the-lock discipline as the waiter: once done is
-      // observable the AsyncDecision may release the token to the pool,
-      // where another submit can immediately reset it.
-      t->cv.notify_one();
-    }
-    req.token = nullptr;
-  } else if (req.promise.has_value()) {
-    if (resolve_error) {
-      req.promise->set_exception(resolve_error);
-    } else {
-      req.promise->set_value(*decision);
-    }
-    req.promise.reset();  // release the shared state promptly
-  }
-  req.on_complete = nullptr;
+  t->done = true;
+  // Notify INSIDE the lock: once done is observable the AsyncDecision may
+  // release the token to the pool, where another submit can immediately
+  // reset it — holding the mutex keeps the waiter from getting past its
+  // wait until this touch of the cv is over.
+  t->cv.notify_one();
 }
 
 void BatchedInferenceEngine::serve_batch(std::size_t take) {
@@ -491,21 +353,8 @@ void BatchedInferenceEngine::serve_batch(std::size_t take) {
         std::runtime_error("BatchedInferenceEngine: no model resolved for tick"));
   } else {
     try {
-      if (config_.use_thread_pool) {
-        // One batched forward per tick on the shared compute pool; the
-        // engine thread just awaits it. The GEMM thread override is scoped
-        // INSIDE the submitted task — nn::ScopedNumThreads is thread-local,
-        // so it must wrap the thread that actually runs the forward.
-        util::ThreadPool::global()
-            .submit([&] {
-              nn::ScopedNumThreads gemm_threads(config_.nn_threads);
-              model->infer_into(observations_, decisions_);
-            })
-            .get();
-      } else {
-        nn::ScopedNumThreads gemm_threads(config_.nn_threads);
-        model->infer_into(observations_, decisions_);
-      }
+      nn::ScopedNumThreads gemm_threads(config_.nn_threads);
+      model->infer_into(observations_, decisions_);
       // A model returning the wrong number of decisions (e.g. a
       // hot-reloaded implementation whose infer truncates) must fail the
       // whole batch loudly, never index out of bounds.
@@ -521,44 +370,52 @@ void BatchedInferenceEngine::serve_batch(std::size_t take) {
   }
   const double t1 = util::wall_seconds();
 
+  // Publish the tick's stats and latency samples BEFORE any request
+  // resolves, so a report() taken right after a decision returns already
+  // counts the batch that served it. Latency reflects SERVED decisions
+  // only: a failed batch must not drag the quantiles the soak gates on.
+  if (!failure) {
+    for (std::size_t i = 0; i < take; ++i) latency_.record_seconds(t1 - batch_[i].enqueue_seconds);
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    requests_ += take;
+    ++ticks_;
+    batch_sum_ += take;
+    batch_max_ = std::max(batch_max_, take);
+    busy_seconds_ += t1 - t0;
+  }
+  for (std::size_t i = 0; i < take; ++i) {
+    fulfill(batch_[i], failure ? nullptr : &decisions_[i], failure);
+  }
+  if (failure) return;
+
+  // Process-wide instruments and journey epilogues run after the callers
+  // are released: the decision-latency bucket is stamped with the request
+  // id (exemplar), and the [enqueue, served] slice lands in the wall ring
+  // tagged with the tick that carried it.
   const bool tracing = obs::enabled();
   for (std::size_t i = 0; i < take; ++i) {
     const double enqueue_seconds = batch_[i].enqueue_seconds;
     const std::uint64_t request_id = batch_[i].request_id;
-    fulfill(batch_[i], failure ? nullptr : &decisions_[i], failure);
-    // Latency reflects SERVED decisions only: a failed batch must not
-    // drag the latency quantiles the soak gate asserts on.
-    if (!failure) {
-      const double latency_seconds = t1 - enqueue_seconds;
-      latency_.record_seconds(latency_seconds);
-      engine_served_counter().add();
-      // Journey epilogue: the decision-latency bucket is stamped with the
-      // request id (exemplar), and the [enqueue, served] slice lands in
-      // the wall ring tagged with the tick that carried it.
-      if (request_id != 0) {
-        decision_latency_histogram().record(latency_seconds, request_id);
-        if (tracing) {
-          obs::TraceEvent ev;
-          ev.kind = obs::TraceEventKind::kRequestComplete;
-          ev.ts = static_cast<std::int64_t>(enqueue_seconds * 1e6);
-          ev.dur = static_cast<std::int64_t>(latency_seconds * 1e6);
-          ev.arg0 = static_cast<std::int64_t>(request_id);
-          ev.arg1 = static_cast<std::int64_t>(tick_id);
-          ev.tid = static_cast<std::uint32_t>(obs::detail::thread_shard());
-          obs::global_trace().record(ev);
-        }
-      } else {
-        decision_latency_histogram().record(latency_seconds);
-      }
+    const double latency_seconds = t1 - enqueue_seconds;
+    engine_served_counter().add();
+    if (request_id == 0) {
+      decision_latency_histogram().record(latency_seconds);
+      continue;
+    }
+    decision_latency_histogram().record(latency_seconds, request_id);
+    if (tracing) {
+      obs::TraceEvent ev;
+      ev.kind = obs::TraceEventKind::kRequestComplete;
+      ev.ts = static_cast<std::int64_t>(enqueue_seconds * 1e6);
+      ev.dur = static_cast<std::int64_t>(latency_seconds * 1e6);
+      ev.arg0 = static_cast<std::int64_t>(request_id);
+      ev.arg1 = static_cast<std::int64_t>(tick_id);
+      ev.tid = static_cast<std::uint32_t>(obs::detail::thread_shard());
+      obs::global_trace().record(ev);
     }
   }
-
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  requests_ += take;
-  ++ticks_;
-  batch_sum_ += take;
-  batch_max_ = std::max(batch_max_, take);
-  busy_seconds_ += t1 - t0;
 }
 
 }  // namespace mirage::serve

@@ -9,34 +9,29 @@
 // max_queue): when the inference engine saturates, new submissions are
 // rejected with BackpressureRejected and counted in EngineStats::rejected
 // instead of growing the heap without limit — admission control, not an
-// allocation storm. Two submission paths share the ring:
+// allocation storm.
 //
-//   submit()          future-based async path (allocates the promise's
-//                     shared state per request — the price of a future);
-//   decide_blocking() pooled synchronous path: the observation buffer is
-//                     swapped into a ring slot and the caller parks on a
-//                     thread_local waiter, so a steady-state decision
-//                     performs ZERO heap allocations end to end (audited
-//                     by bench_serve_soak with a stub model);
-//   submit_pooled()   pooled ASYNC path: instead of a promise/future pair
-//                     the request borrows a recycled CompletionToken from
-//                     the engine's token pool and hands back an
-//                     AsyncDecision that waits on it — so pipelined async
-//                     decides are also zero-allocation in steady state
-//                     (audited by bench_serve_soak alongside the blocking
-//                     path).
+// submit_pooled() is the one way into the ring. The caller's observation
+// buffer is swapped into a ring slot (capacities circulate, nothing is
+// freed) and the request borrows a recycled CompletionToken from the
+// engine's token pool; the returned AsyncDecision waits on that token.
+// Blocking callers simply get() it at once. Either way a steady-state
+// decision performs ZERO heap allocations end to end (audited by
+// bench_serve_soak with a stub model).
 //
-// The tick's forward executes on util::ThreadPool::global() so serving
-// shares the process-wide compute pool with training/evaluation work; the
-// engine's own thread only coalesces, dispatches and fulfills requests.
+// The tick's forward runs inline on the engine thread under
+// nn::ScopedNumThreads; the GEMM inside it fans out on its own pool.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <functional>
-#include <future>
-#include <optional>
+#include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "serve/metrics.hpp"
 #include "serve/model_registry.hpp"
@@ -49,7 +44,7 @@ class Histogram;
 
 namespace mirage::serve {
 
-/// Thrown (or carried by the future) when the bounded request queue is
+/// Thrown by the throwing decide paths when the bounded request queue is
 /// full — the backpressure signal callers retry or shed load on.
 struct BackpressureRejected : std::runtime_error {
   BackpressureRejected()
@@ -62,10 +57,6 @@ struct EngineConfig {
   /// After the first queued request, wait up to this long for more to
   /// coalesce before running the tick (0 = serve whatever is queued).
   std::chrono::microseconds coalesce_wait{200};
-  /// Run each tick's forward on util::ThreadPool::global() (otherwise on
-  /// the engine thread itself; useful under sanitizers or in benchmarks
-  /// that want isolated timing).
-  bool use_thread_pool = true;
   /// Bounded request queue: submissions past this depth are rejected with
   /// BackpressureRejected (admission control when the engine saturates).
   /// The ring is preallocated, so queueing never allocates. Clamped >= 1.
@@ -85,28 +76,15 @@ struct EngineStats {
   double mean_batch = 0.0;
   std::size_t max_batch = 0;
   double busy_seconds = 0.0;       ///< wall time spent inside forwards
-  LatencySnapshot latency;         ///< submit() -> fulfilled (served only)
+  LatencySnapshot latency;         ///< enqueue -> served (served only)
 };
 
 namespace detail {
-/// Parking slot for one blocking decision; thread_local in the caller, so
-/// it is reused forever and never allocated per request. The caller is
-/// parked inside decide_blocking() for the slot's whole in-flight life,
-/// which is what makes the thread_local lifetime safe.
-struct BlockingWaiter {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  Decision decision;
-  std::exception_ptr error;
-};
-
-/// Recycled completion state for the pooled async path: plays the role of
-/// a promise/future shared state, but lives in the engine's TokenPool and
-/// circulates instead of being heap-allocated per call. The completion
-/// callback is a raw function pointer plus context slots — assigning a
-/// std::function here could allocate, which is exactly what this path
-/// exists to avoid.
+/// Recycled completion state for one in-flight request: lives in the
+/// engine's TokenPool and circulates instead of being heap-allocated per
+/// call. The completion callback is a raw function pointer plus context
+/// slots — assigning a std::function here could allocate, which is
+/// exactly what this path exists to avoid.
 struct CompletionToken {
   std::mutex mutex;
   std::condition_variable cv;
@@ -144,7 +122,7 @@ class TokenPool {
 };
 }  // namespace detail
 
-/// Move-only handle to one pooled async decision. get() blocks until the
+/// Move-only handle to one in-flight decision. get() blocks until the
 /// batch containing the request runs, rethrows the batch's failure, and
 /// returns the token to the pool; an abandoned (destroyed un-got) handle
 /// waits for completion first, so a token is never recycled while the
@@ -191,44 +169,15 @@ class BatchedInferenceEngine {
   /// Launch the engine thread (idempotent).
   void start();
 
-  /// Enqueue one observation (flattened [k*(m+1)], action channel
-  /// ignored). The future resolves after the batch containing it runs;
-  /// it carries an exception if the engine is draining, the queue is full
-  /// (BackpressureRejected) or no model resolves. `on_complete`, when
-  /// set, runs on the engine thread right before the promise is fulfilled
-  /// (successful decisions only — a drained or failed request is never
-  /// counted as served) — the service uses it for per-shard accounting on
-  /// the async path. `request_id`, when nonzero, threads the caller's
-  /// journey id through the ring: enqueue/complete trace events and the
-  /// latency histogram's exemplar carry it (ISSUE 8 request-journey
-  /// tracing).
-  std::future<Decision> submit(std::vector<float> observation,
-                               std::function<void(const Decision&)> on_complete = nullptr,
-                               std::uint64_t request_id = 0);
-
-  /// Outcome of a non-throwing blocking decision.
+  /// Outcome of a submission.
   enum class SubmitResult { kOk, kRejectedBackpressure, kDraining };
 
-  /// Pooled synchronous path: swap `observation` into a ring slot (the
-  /// caller gets the displaced buffer back for reuse — capacities
-  /// circulate, nothing is freed) and block until the batch containing it
-  /// runs. Zero steady-state heap allocations. On kOk, `out` holds the
-  /// decision; on rejection/drain the observation is swapped back
-  /// untouched. A batch failure (no model, short decision vector, bad
-  /// input dim) rethrows the batch's exception. Nonzero `request_id`
-  /// threads the journey id exactly as in submit().
-  SubmitResult try_decide_blocking(std::vector<float>& observation, Decision& out,
-                                   std::uint64_t request_id = 0);
-
-  /// Throwing convenience over try_decide_blocking: BackpressureRejected
-  /// on a full queue, std::runtime_error when draining.
-  Decision decide_blocking(std::vector<float>& observation, std::uint64_t request_id = 0);
-
   /// Completion context for submit_pooled. `fn` runs on the engine thread
-  /// for successfully served decisions only (same contract as submit()'s
-  /// on_complete), with the three context pointers and id passed through;
-  /// `keepalive` pins whatever the pointers reference until the request
-  /// resolves.
+  /// for successfully served decisions only (a drained or failed request
+  /// is never counted as served), right before the handle resolves, with
+  /// the three context pointers and id passed through; a throwing `fn`
+  /// fails only its own request. `keepalive` pins whatever the pointers
+  /// reference until the request resolves.
   struct PooledCompletion {
     void (*fn)(void*, void*, void*, std::uint64_t, const Decision&) = nullptr;
     void* ctx_a = nullptr;
@@ -238,19 +187,23 @@ class BatchedInferenceEngine {
     std::shared_ptr<void> keepalive;
   };
 
-  /// Pooled async path: like try_decide_blocking (observation swapped into
-  /// a ring slot, zero steady-state allocations) but returns immediately
-  /// with `out` waiting on a recycled CompletionToken instead of parking
-  /// the caller. On rejection/drain `out` is untouched and the token goes
-  /// straight back to the pool.
+  /// Enqueue one observation (flattened [k*(m+1)], action channel
+  /// ignored). The buffer is swapped into a ring slot — the caller gets
+  /// the displaced buffer back for reuse — and `out` waits on a recycled
+  /// CompletionToken. On rejection/drain the observation is handed back
+  /// untouched, `out` stays invalid and the token goes straight back to
+  /// the pool. A batch failure (no model, short decision vector, bad
+  /// input dim) rethrows from out.get(). Nonzero `request_id` threads the
+  /// caller's journey id through the ring: enqueue/complete trace events
+  /// and the latency histogram's exemplar carry it.
   SubmitResult submit_pooled(std::vector<float>& observation, AsyncDecision& out,
                              PooledCompletion completion, std::uint64_t request_id = 0);
   SubmitResult submit_pooled(std::vector<float>& observation, AsyncDecision& out) {
     return submit_pooled(observation, out, PooledCompletion());
   }
 
-  /// Completion tokens ever created (the pooled-async allocation audit:
-  /// flat in a warmed steady state).
+  /// Completion tokens ever created (the allocation audit: flat in a
+  /// warmed steady state).
   std::size_t tokens_created() const { return token_pool_.created(); }
 
   /// Graceful drain: reject new requests, serve everything queued, then
@@ -262,14 +215,9 @@ class BatchedInferenceEngine {
   EngineStats stats() const;
 
  private:
-  /// One ring slot / in-flight request. Exactly one of {promise, waiter,
-  /// token} is set: promise for the future path, waiter for the blocking
-  /// path, token for the pooled async path.
+  /// One ring slot / in-flight request.
   struct Request {
     std::vector<float> observation;  ///< buffer owned by the slot, reused
-    std::optional<std::promise<Decision>> promise;
-    std::function<void(const Decision&)> on_complete;
-    detail::BlockingWaiter* waiter = nullptr;
     detail::CompletionToken* token = nullptr;
     double enqueue_seconds = 0.0;
     std::uint64_t request_id = 0;    ///< journey id (0 = untraced caller)
@@ -277,8 +225,9 @@ class BatchedInferenceEngine {
 
   void run();
   void serve_batch(std::size_t take);
-  /// Deliver one fulfilled request (engine thread). Success runs
-  /// on_complete then resolves; failure resolves with `failure`.
+  /// Deliver one fulfilled request (engine thread). Success runs the
+  /// token's completion hook then resolves; failure resolves with
+  /// `failure`.
   void fulfill(Request& req, const Decision* decision, const std::exception_ptr& failure);
   /// Reserve the next ring slot or report why not (caller holds mutex_).
   Request* reserve_slot_locked();
@@ -295,7 +244,7 @@ class BatchedInferenceEngine {
   bool started_ = false;
   std::thread worker_;
   std::atomic<std::uint64_t> rejected_{0};
-  detail::TokenPool token_pool_;   ///< recycled completion tokens (async path)
+  detail::TokenPool token_pool_;   ///< recycled completion tokens
 
   // Engine-thread tick scratch (no locks needed): extracted requests and
   // the reusable observation/decision buffers for the batched forward.

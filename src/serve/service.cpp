@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "obs/flight_recorder.hpp"
@@ -28,20 +27,6 @@ std::size_t resolve_shards(std::size_t configured) {
 obs::Counter& sweeper_wakeups_counter() {
   static obs::Counter* c = obs::registry().counter(
       "mirage_serve_sweeper_wakeups_total", "background sweeper ticks");
-  return *c;
-}
-
-obs::Counter& sweeper_skipped_counter() {
-  static obs::Counter* c = obs::registry().counter(
-      "mirage_serve_sweeper_skipped_total",
-      "sweep scans skipped by the idle-aware cadence");
-  return *c;
-}
-
-obs::Counter& sweeper_stretches_counter() {
-  static obs::Counter* c = obs::registry().counter(
-      "mirage_serve_sweeper_stretches_total",
-      "sweeper wakeup-interval doublings on quiet tables");
   return *c;
 }
 
@@ -185,18 +170,54 @@ void ProvisioningService::drain_and_stop() {
   }
 }
 
+// ------------------------------------------------------------ shard LRU
+
+void ProvisioningService::Shard::link_back(Session& session) {
+  session.lru_prev = lru_back;
+  session.lru_next = nullptr;
+  (lru_back ? lru_back->lru_next : lru_front) = &session;
+  lru_back = &session;
+}
+
+void ProvisioningService::Shard::unlink(Session& session) {
+  (session.lru_prev ? session.lru_prev->lru_next : lru_front) = session.lru_next;
+  (session.lru_next ? session.lru_next->lru_prev : lru_back) = session.lru_prev;
+  session.lru_prev = session.lru_next = nullptr;
+}
+
+void ProvisioningService::Shard::add(std::shared_ptr<Session> session, double now) {
+  session->last_access_seconds = now;
+  link_back(*session);
+  const SessionId id = session->id;
+  sessions.emplace(id, std::move(session));
+}
+
+void ProvisioningService::Shard::remove(
+    std::map<SessionId, std::shared_ptr<Session>>::iterator it) {
+  unlink(*it->second);
+  sessions.erase(it);
+}
+
+void ProvisioningService::Shard::touch(Session& session, double now) {
+  session.last_access_seconds = now;
+  if (lru_back == &session) return;
+  unlink(session);
+  link_back(session);
+}
+
+// ------------------------------------------------------------- sessions
+
 SessionId ProvisioningService::open_session() {
   const SessionId id = next_session_.fetch_add(1, std::memory_order_relaxed);
   auto session = std::make_shared<Session>(id, config_.history_len,
                                            std::max<std::size_t>(1, config_.partition_count));
-  session->last_access_seconds.store(util::wall_seconds(), std::memory_order_relaxed);
   // Journal BEFORE the map insert: nothing (not even the sweeper) can
   // touch the id until it is in the table, so the open record is
   // guaranteed to precede every other record for this session.
   journal_open(id);
   Shard& shard = shard_of(id);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.sessions.emplace(id, std::move(session));
+  shard.add(std::move(session), util::wall_seconds());
   ++shard.total_sessions;
   return id;
 }
@@ -206,7 +227,11 @@ void ProvisioningService::close_session(SessionId id) {
   bool erased = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    erased = shard.sessions.erase(id) > 0;
+    const auto it = shard.sessions.find(id);
+    if (it != shard.sessions.end()) {
+      shard.remove(it);
+      erased = true;
+    }
   }
   if (erased) journal_close(id);
 }
@@ -214,130 +239,68 @@ void ProvisioningService::close_session(SessionId id) {
 std::shared_ptr<ProvisioningService::Session> ProvisioningService::find_session(
     SessionId id) const {
   Shard& shard = shard_of(id);
-  const bool ttl_on = config_.session_ttl_seconds > 0.0;
-  const double now = ttl_on ? util::wall_seconds() : 0.0;
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.sessions.find(id);
   if (it == shard.sessions.end()) throw_unknown_session(id);
-  if (ttl_on) {
-    const double last = it->second->last_access_seconds.load(std::memory_order_relaxed);
-    if (now - last > config_.session_ttl_seconds) {
+  if (config_.session_ttl_seconds > 0.0) {
+    // The clock is read under the shard lock, so two racing touches land
+    // in the LRU list in the order of their timestamps.
+    const double now = util::wall_seconds();
+    Session& session = *it->second;
+    if (now - session.last_access_seconds > config_.session_ttl_seconds) {
       // Lazy expiry: reap on touch, then report it exactly like a closed
       // session so a late observe/decide fails loudly instead of serving
       // a zombie ring.
-      shard.sessions.erase(it);
+      shard.remove(it);
       shard.evictions.fetch_add(1, std::memory_order_relaxed);
       journal_evict(id);
       throw_unknown_session(id);
     }
-    it->second->last_access_seconds.store(now, std::memory_order_relaxed);
+    shard.touch(session, now);
   }
   return it->second;
 }
 
 std::size_t ProvisioningService::sweep_shard(Shard& shard) const {
   if (config_.session_ttl_seconds <= 0.0) return 0;
-  const double now = util::wall_seconds();
   std::size_t evicted = 0;
   std::lock_guard<std::mutex> lock(shard.mutex);
-  double earliest_last = std::numeric_limits<double>::infinity();
-  for (auto it = shard.sessions.begin(); it != shard.sessions.end();) {
-    const double last = it->second->last_access_seconds.load(std::memory_order_relaxed);
-    if (now - last > config_.session_ttl_seconds) {
-      journal_evict(it->first);
-      it = shard.sessions.erase(it);
-      ++evicted;
-    } else {
-      earliest_last = std::min(earliest_last, last);
-      ++it;
-    }
+  const double now = util::wall_seconds();
+  // The list is in last-access order, so the expired sessions are exactly
+  // its front: stop at the first live one.
+  while (shard.lru_front != nullptr &&
+         now - shard.lru_front->last_access_seconds > config_.session_ttl_seconds) {
+    const SessionId id = shard.lru_front->id;
+    journal_evict(id);
+    shard.remove(shard.sessions.find(id));
+    ++evicted;
   }
-  // Refresh the idle hint: nothing surviving this scan can expire before
-  // earliest_last + ttl, sessions opened later expire later still, and a
-  // touch only pushes expiry out — so skipping until then is safe.
-  shard.sweep_hint_valid = true;
-  shard.last_sweep_size = shard.sessions.size();
-  shard.next_expiry_hint = shard.sessions.empty()
-                               ? std::numeric_limits<double>::infinity()
-                               : earliest_last + config_.session_ttl_seconds;
   if (evicted) shard.evictions.fetch_add(evicted, std::memory_order_relaxed);
   return evicted;
 }
 
-std::size_t ProvisioningService::sweep_shard_idle_aware(Shard& shard, bool* skipped) const {
-  if (skipped) *skipped = false;
-  if (config_.session_ttl_seconds <= 0.0) return 0;
-  const double now = util::wall_seconds();
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Quiet-table fast path: unchanged size at or below the idle
-    // threshold, and the earliest possible expiry still ahead — a scan
-    // would provably evict nothing, so the tick costs a size check.
-    if (shard.sweep_hint_valid && shard.sessions.size() == shard.last_sweep_size &&
-        shard.sessions.size() <= config_.sweep_idle_threshold &&
-        now < shard.next_expiry_hint) {
-      sweep_skipped_.fetch_add(1, std::memory_order_relaxed);
-      sweeper_skipped_counter().add();
-      if (skipped) *skipped = true;
-      return 0;
-    }
-  }
-  return sweep_shard(shard);
-}
-
 void ProvisioningService::sweeper_loop() {
-  const double base_seconds = std::max(1e-4, config_.sweep_interval_seconds);
-  const bool ttl_on = config_.session_ttl_seconds > 0.0;
-  const double max_factor = std::max(1.0, config_.sweep_backoff_max_factor);
-  double backoff = 1.0;        ///< current interval multiplier
-  std::size_t quiet_streak = 0;  ///< consecutive hint-skipped ticks
+  const auto interval =
+      std::chrono::duration<double>(std::max(1e-4, config_.sweep_interval_seconds));
   std::unique_lock<std::mutex> lock(sweeper_mutex_);
   while (!sweeper_stop_) {
-    const auto interval = std::chrono::duration<double>(base_seconds * backoff);
     if (sweeper_cv_.wait_for(lock, interval, [this] { return sweeper_stop_; })) break;
-    // Amortized background expiry: one shard per tick, round-robin, so
-    // sweep cost stays O(sessions / shards) per wakeup no matter how
-    // large the table grows (lazy expiry covers touched sessions).
-    std::size_t cursor = 0;
-    if (ttl_on) {
-      cursor = sweep_cursor_;
-      sweep_cursor_ = (sweep_cursor_ + 1) % shards_.size();
-    }
     lock.unlock();
     sweep_wakeups_.fetch_add(1, std::memory_order_relaxed);
     sweeper_wakeups_counter().add();
-    bool skipped = false;
-    if (ttl_on) sweep_shard_idle_aware(shards_[cursor], &skipped);
+    // Every tick visits every shard: a shard with nothing expired costs
+    // one lock and one comparison (lazy expiry covers touched sessions).
+    evict_expired();
     // The sweeper doubles as the SLO evaluator and gauge-refresh tick —
     // both allocation-free in steady state, so the thread can run inside
     // the soak bench's zero-allocation audit window.
-    const bool slos_on = slos_configured_.load(std::memory_order_acquire);
-    if (slos_on) slos_.evaluate(util::wall_seconds());
+    if (slos_configured_.load(std::memory_order_acquire)) slos_.evaluate(util::wall_seconds());
     refresh_gauges();
     // Group commit: at sync levels below kOnCommit the sweeper tick is
     // the journal's flush point (and segment-roll point), so a crash
     // loses at most one tick's worth of buffered records.
     if (wal_on_ && config_.wal.wal.sync != util::wal::SyncLevel::kOnCommit) {
       journal_commit();
-    }
-    // Quiet-table backoff, pure-TTL configurations only: with SLOs
-    // configured the evaluator needs its steady base cadence. Once every
-    // shard in a full rotation has declined its scan via the min-expiry
-    // hint, the table is provably quiet until the earliest hint, so the
-    // wakeup interval doubles (bounded); the first real scan — any
-    // activity invalidates a hint — snaps it back to base.
-    if (ttl_on && !slos_on && max_factor > 1.0) {
-      if (skipped) {
-        ++quiet_streak;
-        if (quiet_streak % shards_.size() == 0 && backoff < max_factor) {
-          backoff = std::min(max_factor, backoff * 2.0);
-          sweep_stretches_.fetch_add(1, std::memory_order_relaxed);
-          sweeper_stretches_counter().add();
-        }
-      } else {
-        quiet_streak = 0;
-        backoff = 1.0;
-      }
     }
     lock.lock();
   }
@@ -406,54 +369,6 @@ std::uint64_t ProvisioningService::begin_request_trace(SessionId id) const {
   return request_id;
 }
 
-std::future<Decision> ProvisioningService::decide_async(SessionId id) {
-  const auto session = find_session(id);
-  std::vector<float> observation;
-  {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    observation = session->encoder.flatten(0.0f);
-  }
-  // Served-decision accounting happens in the engine's completion hook,
-  // which runs only when the request actually produced a decision — a
-  // drained, rejected or failed request never inflates the counters.
-  Shard* shard = &shard_of(id);
-  return engine_.submit(std::move(observation),
-                        [this, shard, session](const Decision& d) {
-                          record_served(*shard, *session, d);
-                        },
-                        begin_request_trace(id));
-}
-
-Decision ProvisioningService::decide(SessionId id) {
-  Decision out;
-  switch (try_decide(id, out)) {
-    case BatchedInferenceEngine::SubmitResult::kOk:
-      return out;
-    case BatchedInferenceEngine::SubmitResult::kRejectedBackpressure:
-      throw BackpressureRejected();
-    case BatchedInferenceEngine::SubmitResult::kDraining:
-      break;
-  }
-  throw std::runtime_error("ProvisioningService: draining, decision rejected");
-}
-
-BatchedInferenceEngine::SubmitResult ProvisioningService::try_decide(SessionId id,
-                                                                     Decision& out) {
-  const auto session = find_session(id);
-  // Reused per calling thread: flatten_into + the engine's slot swap keep
-  // the steady-state decide path free of heap allocations.
-  thread_local std::vector<float> observation;
-  {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    session->encoder.flatten_into(observation, 0.0f);
-  }
-  const auto result = engine_.try_decide_blocking(observation, out, begin_request_trace(id));
-  if (result == BatchedInferenceEngine::SubmitResult::kOk) {
-    record_served(shard_of(id), *session, out);
-  }
-  return result;
-}
-
 void ProvisioningService::pooled_served_trampoline(void* ctx_a, void* ctx_b, void* ctx_c,
                                                    std::uint64_t /*request_id*/,
                                                    const Decision& d) {
@@ -466,9 +381,9 @@ void ProvisioningService::pooled_served_trampoline(void* ctx_a, void* ctx_b, voi
 BatchedInferenceEngine::SubmitResult ProvisioningService::try_decide_async(SessionId id,
                                                                            AsyncDecision& out) {
   const auto session = find_session(id);
-  // Same reused flatten buffer as try_decide: the engine swaps it into a
-  // ring slot, so the pooled async path never touches the heap in steady
-  // state (the keepalive copy below is a refcount bump, not an alloc).
+  // Reused per calling thread: flatten_into + the engine's slot swap keep
+  // the steady-state decide path free of heap allocations (the keepalive
+  // copy below is a refcount bump, not an alloc).
   thread_local std::vector<float> observation;
   {
     std::lock_guard<std::mutex> lock(session->mutex);
@@ -496,6 +411,8 @@ AsyncDecision ProvisioningService::decide_async_pooled(SessionId id) {
   }
   throw std::runtime_error("ProvisioningService: draining, decision rejected");
 }
+
+Decision ProvisioningService::decide(SessionId id) { return decide_async_pooled(id).get(); }
 
 // ------------------------------------------------------ session journaling
 
@@ -601,10 +518,7 @@ void ProvisioningService::replay_wal() {
     throw std::runtime_error("ProvisioningService: session journal mismatch: " + mismatch);
   }
   const double now = util::wall_seconds();
-  for (auto& [id, session] : live) {
-    session->last_access_seconds.store(now, std::memory_order_relaxed);
-    shard_of(id).sessions.emplace(id, std::move(session));
-  }
+  for (auto& [id, session] : live) shard_of(id).add(std::move(session), now);
   info.replayed = true;
   info.sessions = live.size();
   info.records = rinfo.records;
@@ -719,8 +633,6 @@ ServiceReport ProvisioningService::report() const {
     r.evictions += shard.evictions.load(std::memory_order_relaxed);
   }
   r.sweep_wakeups = sweep_wakeups_.load(std::memory_order_relaxed);
-  r.sweep_skipped = sweep_skipped_.load(std::memory_order_relaxed);
-  r.sweep_stretches = sweep_stretches_.load(std::memory_order_relaxed);
   r.engine = engine_.stats();
   const double started = started_seconds_.load();
   if (started > 0.0) {

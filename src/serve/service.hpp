@@ -17,10 +17,12 @@
 //
 // Idle sessions are evicted by TTL (session_ttl_seconds > 0): lazily on
 // access — a lookup that finds an expired session erases it and throws
-// std::out_of_range, exactly like a closed session — plus an amortized
-// background sweep that scans ONE shard per tick (the lazy + background
-// expiry split of snkv's ttl-support design), so a million abandoned
-// sessions cost one shard-sized scan per sweep interval, not a stall.
+// std::out_of_range, exactly like a closed session — plus a background
+// sweep (the lazy + background expiry split of snkv's ttl-support
+// design). Each shard threads its sessions on an intrusive LRU list that
+// every access moves to the back, so the expired sessions are always a
+// prefix of the list: a sweep pops them off the front in O(evicted) work
+// and never scans the live ones.
 //
 // Backpressure: the engine queue is bounded (EngineConfig::max_queue);
 // when the engine saturates, decide paths fail fast with
@@ -120,22 +122,9 @@ struct ServiceConfig {
   /// than this; 0 disables eviction. Expired sessions behave exactly like
   /// closed ones: any access throws std::out_of_range.
   double session_ttl_seconds = 0.0;
-  /// Background sweep cadence; each tick scans one shard round-robin.
+  /// Background sweep cadence; each tick reaps the expired front of
+  /// every shard's LRU list.
   double sweep_interval_seconds = 0.1;
-  /// Idle-aware sweep cadence (ISSUE 8): a shard whose session count is
-  /// unchanged since its last full scan, at or below this threshold, and
-  /// whose earliest possible expiry (tracked per scan) is still in the
-  /// future is SKIPPED — quiet tables cost a size check per tick, not a
-  /// scan. Skips and wakeups are counted in the report and the registry.
-  std::size_t sweep_idle_threshold = 1024;
-  /// Quiet-table wakeup backoff: when a full round-robin rotation of
-  /// shards skips its scan via the min-expiry hint, the sweeper doubles
-  /// its wakeup interval, up to sweep_interval_seconds * this factor;
-  /// any non-skipped scan snaps it back to the base cadence. <= 1
-  /// disables stretching. Only active in pure-TTL configurations — with
-  /// SLOs configured the sweeper doubles as the SLO evaluator and must
-  /// hold its base cadence.
-  double sweep_backoff_max_factor = 8.0;
   EngineConfig engine;
   ServiceSloConfig slo;
   ServiceWalConfig wal;
@@ -149,8 +138,6 @@ struct ServiceReport {
   std::uint64_t submits = 0;       ///< decisions that said "submit now"
   std::uint64_t evictions = 0;     ///< sessions reaped by the idle TTL
   std::uint64_t sweep_wakeups = 0; ///< background sweeper ticks
-  std::uint64_t sweep_skipped = 0; ///< ticks skipped by idle-aware cadence
-  std::uint64_t sweep_stretches = 0; ///< quiet-streak wakeup-interval doublings
   EngineStats engine;
   double uptime_seconds = 0.0;
   double decisions_per_second = 0.0;
@@ -178,30 +165,23 @@ class ProvisioningService {
   /// steady-state heap allocations.
   void observe(SessionId id, const sim::StateSample& sample, const rl::JobPairContext& ctx);
 
-  /// Batched async decision on the session's current history (allocates
-  /// the future's shared state; use decide()/try_decide() on paths that
-  /// must not touch the heap).
-  std::future<Decision> decide_async(SessionId id);
-  /// Blocking decision via the engine's pooled path: zero steady-state
-  /// heap allocations per call (audited by bench_serve_soak). Throws
-  /// BackpressureRejected when the engine queue is full.
-  Decision decide(SessionId id);
-  /// Non-throwing blocking variant for load-shedding callers (the soak
-  /// bench's hot loop): kOk fills `out`; rejection/drain report status
-  /// without exception traffic. Unknown/expired sessions still throw
-  /// std::out_of_range, and a failed batch rethrows its error.
-  BatchedInferenceEngine::SubmitResult try_decide(SessionId id, Decision& out);
-
-  /// Pooled async decision: like decide_async but on the engine's
-  /// recycled-completion-token path, so pipelined async decides perform
-  /// zero steady-state heap allocations (audited by bench_serve_soak).
-  /// kOk arms `out`; rejection/drain leave it invalid. Served-decision
-  /// accounting (and journaling) runs in the engine's completion hook,
-  /// exactly like decide_async.
+  /// Batched decision on the session's current history. Every decide
+  /// path runs on the engine's recycled completion tokens, so a steady-
+  /// state decision performs zero heap allocations (audited by
+  /// bench_serve_soak), and served-decision accounting (and journaling)
+  /// runs in exactly one place: the token's completion hook on the engine
+  /// thread, before the decision is handed back. Unknown/expired sessions
+  /// throw std::out_of_range; a failed batch rethrows its error.
+  ///
+  /// Non-throwing async form for load-shedding callers: kOk arms `out`;
+  /// rejection/drain report status without exception traffic and leave it
+  /// invalid.
   BatchedInferenceEngine::SubmitResult try_decide_async(SessionId id, AsyncDecision& out);
-  /// Throwing convenience over try_decide_async (BackpressureRejected on
-  /// a full queue, std::runtime_error when draining).
+  /// Throwing async form: BackpressureRejected on a full queue,
+  /// std::runtime_error when draining.
   AsyncDecision decide_async_pooled(SessionId id);
+  /// Blocking form: decide_async_pooled(id).get().
+  Decision decide(SessionId id);
 
   /// The session's flattened history (action channel zeroed) — the exact
   /// tensor row the next decision would see. Test/debug hook.
@@ -210,8 +190,7 @@ class ProvisioningService {
 
   std::size_t session_count() const;
   /// Sweep every shard now, evicting expired sessions; returns the number
-  /// evicted. Test hook — production relies on the lazy check plus the
-  /// background one-shard-per-tick sweeper.
+  /// evicted. The background sweeper runs exactly this every tick.
   std::size_t evict_expired();
   ServiceReport report() const;
 
@@ -246,43 +225,49 @@ class ProvisioningService {
     mutable std::mutex mutex;
     rl::StateEncoder encoder;
     std::atomic<std::uint64_t> decisions{0};
-    std::atomic<double> last_access_seconds{0.0};
+    // Expiry state, guarded by the owning shard's mutex: the last access
+    // time and the session's links in the shard's LRU list.
+    double last_access_seconds = 0.0;
+    Session* lru_prev = nullptr;
+    Session* lru_next = nullptr;
   };
 
-  /// One shard: its own lock, session map and counters. The counters are
-  /// relaxed atomics so the engine-thread completion callback and the
-  /// blocking decide path never serialize on a shard (or global) mutex.
+  /// One shard: its own lock, session map, LRU list and counters. The
+  /// counters are relaxed atomics so the engine-thread completion hook
+  /// never serializes on a shard (or global) mutex.
   struct Shard {
     mutable std::mutex mutex;
     std::map<SessionId, std::shared_ptr<Session>> sessions;
+    // Intrusive LRU list over `sessions`, least recently accessed first.
+    // Every access stamps last_access_seconds (read under the mutex) and
+    // moves the session to the back, so list order is last-access order.
+    Session* lru_front = nullptr;
+    Session* lru_back = nullptr;
     std::uint64_t total_sessions = 0;  ///< guarded by mutex
     std::atomic<std::uint64_t> decisions{0};
     std::atomic<std::uint64_t> submits{0};
     std::atomic<std::uint64_t> evictions{0};
-    // Idle-aware sweep hint (guarded by mutex): the table size after the
-    // last full scan and the earliest instant any session seen then could
-    // expire. Sessions opened or touched later expire strictly later, so
-    // "now < next_expiry_hint" proves a skipped scan would evict nothing.
-    bool sweep_hint_valid = false;
-    std::size_t last_sweep_size = 0;
-    double next_expiry_hint = 0.0;
+
+    // LRU maintenance; the caller holds `mutex` (or is single-threaded).
+    void add(std::shared_ptr<Session> session, double now);
+    void remove(std::map<SessionId, std::shared_ptr<Session>>::iterator it);
+    void touch(Session& session, double now);
+    void link_back(Session& session);
+    void unlink(Session& session);
   };
 
   Shard& shard_of(SessionId id) const { return shards_[id % shards_.size()]; }
-  /// Locate a live session; refresh its TTL clock. Expired sessions are
-  /// erased here (lazy expiry) and reported exactly like closed ones.
+  /// Locate a live session; refresh its TTL clock and LRU position.
+  /// Expired sessions are erased here (lazy expiry) and reported exactly
+  /// like closed ones.
   std::shared_ptr<Session> find_session(SessionId id) const;
+  /// Pop the expired front of `shard`'s LRU list; returns evictions.
   std::size_t sweep_shard(Shard& shard) const;
-  /// One background tick's sweep of `shard`: consult the idle hint, skip
-  /// or full-scan, refresh the hint. Returns evictions (0 on skip);
-  /// `skipped`, when non-null, reports whether the hint declined the scan
-  /// (the sweeper's quiet-streak backoff input).
-  std::size_t sweep_shard_idle_aware(Shard& shard, bool* skipped = nullptr) const;
   void sweeper_loop();
   void record_served(Shard& shard, Session& session, const Decision& d) const;
-  /// Engine-thread completion hook for the pooled async path: ctx_a is
-  /// the service, ctx_b the owning shard, ctx_c the session (pinned by
-  /// the token's keepalive).
+  /// Engine-thread completion hook of every decide: ctx_a is the
+  /// service, ctx_b the owning shard, ctx_c the session (pinned by the
+  /// token's keepalive).
   static void pooled_served_trampoline(void* ctx_a, void* ctx_b, void* ctx_c,
                                        std::uint64_t request_id, const Decision& d);
   // --- Session journaling (no-ops when ServiceWalConfig::dir is empty).
@@ -323,8 +308,6 @@ class ProvisioningService {
   bool providers_registered_ = false;  ///< guarded by sweeper_mutex_
 
   std::atomic<std::uint64_t> sweep_wakeups_{0};
-  mutable std::atomic<std::uint64_t> sweep_skipped_{0};  ///< bumped in const sweeps
-  std::atomic<std::uint64_t> sweep_stretches_{0};  ///< backoff doublings
   // Live operational gauges (registered once at construction; refreshed
   // on sweeper ticks and by metrics_text()).
   obs::Gauge* queue_depth_gauge_ = nullptr;
@@ -339,7 +322,6 @@ class ProvisioningService {
   std::mutex sweeper_mutex_;
   std::condition_variable sweeper_cv_;
   bool sweeper_stop_ = false;
-  std::size_t sweep_cursor_ = 0;  ///< next shard the background sweep scans
 
   // Session journal (ISSUE 10). wal_on_ is set once in the constructor
   // and never changes; the writer itself is guarded by wal_mutex_ (and

@@ -1035,8 +1035,8 @@ TEST(ServeWal, KillNineThenWarmRestartServesBitwiseIdenticalDecisions) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     // Child: serve with per-record durability, then die without any
-    // shutdown path. Blocking decide() journals on the calling thread
-    // before returning, so everything below is on disk when we die.
+    // shutdown path. decide() returns only after the completion hook has
+    // journaled the decision, so everything below is on disk when we die.
     serve::ProvisioningService victim(model, cfg);
     victim.start();
     const auto s1 = victim.open_session();

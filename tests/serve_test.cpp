@@ -3,7 +3,9 @@
 // session bookkeeping, deterministic replay and graceful drain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -15,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "rl/replay_buffer.hpp"
 #include "rl/state_encoder.hpp"
 #include "serve/inference_engine.hpp"
 #include "serve/model_registry.hpp"
@@ -315,10 +318,56 @@ TEST(BatchedInference, Top1SparseRoutingMatchesDenseBitwise) {
     observations.push_back(std::move(obs));
   }
   const auto batched = model->infer(observations);
+  const std::size_t k = cfg.net.history_len;
   for (std::size_t i = 0; i < observations.size(); ++i) {
     const auto [q_wait, q_submit] = trained.q_pair(observations[i]);
     EXPECT_EQ(batched[i].score_wait, q_wait) << "row " << i;
     EXPECT_EQ(batched[i].score_submit, q_submit) << "row " << i;
+    // q_pair itself runs the sparse path too; pin it to the dense forward.
+    std::vector<float> obs = observations[i];
+    rl::set_action_channel(obs, k, 1.0f);
+    nn::Tensor x(1, obs.size());
+    std::copy(obs.begin(), obs.end(), x.row(0));
+    EXPECT_EQ(trained.model().forward_q(x, /*train=*/false).at(0, 0), q_submit) << "row " << i;
+  }
+}
+
+TEST(BatchedInference, PgTop1SparseRoutingMatchesDenseBitwise) {
+  // PgAgent::submit_probability scores through the sparse Top-1 path; it
+  // must agree bitwise with the served model and the dense forward.
+  TempDir dir("parity_pg_top1");
+  rl::PgConfig cfg;
+  cfg.foundation = nn::FoundationType::kMoE;
+  cfg.net = test_net();
+  cfg.net.moe_experts = 4;
+  cfg.net.moe_top1 = true;
+  rl::PgAgent trained(cfg, 109);
+  ASSERT_TRUE(core::save_agent(trained, dir.file("rtx__top1.ckpt")));
+
+  ModelRegistry registry(test_registry_config());
+  const auto load = registry.load_file(dir.file("rtx__top1.ckpt"), "rtx");
+  ASSERT_TRUE(load.ok) << load.error;
+  const auto model = registry.lookup({"rtx", "pg", "moe"});
+  ASSERT_NE(model, nullptr);
+
+  util::Rng rng(13);
+  std::vector<std::vector<float>> observations;
+  for (int i = 0; i < 41; ++i) {
+    std::vector<float> obs(model->observation_dim());
+    for (auto& v : obs) v = static_cast<float>(rng.normal());
+    observations.push_back(std::move(obs));
+  }
+  const auto batched = model->infer(observations);
+  const std::size_t k = cfg.net.history_len;
+  for (std::size_t i = 0; i < observations.size(); ++i) {
+    const float p_submit = trained.submit_probability(observations[i]);
+    EXPECT_EQ(batched[i].score_submit, p_submit) << "row " << i;
+    std::vector<float> obs = observations[i];
+    rl::set_action_channel(obs, k, 0.0f);
+    nn::Tensor x(1, obs.size());
+    std::copy(obs.begin(), obs.end(), x.row(0));
+    EXPECT_EQ(trained.model().forward_policy(x, /*train=*/false).at(0, 1), p_submit)
+        << "row " << i;
   }
 }
 
@@ -348,10 +397,13 @@ TEST(InferenceEngine, BatchesQueuedRequestsInOneTick) {
 
   // Queue before starting: the first tick must coalesce all of them.
   const std::size_t dim = test_net().history_len * test_net().state_dim;
-  std::vector<std::future<Decision>> futures;
-  for (int i = 0; i < 10; ++i) futures.push_back(engine.submit(std::vector<float>(dim, 0.1f)));
+  std::vector<AsyncDecision> pending(10);
+  for (auto& handle : pending) {
+    std::vector<float> obs(dim, 0.1f);
+    ASSERT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kOk);
+  }
   engine.start();
-  for (auto& f : futures) EXPECT_NO_THROW(f.get());
+  for (auto& handle : pending) EXPECT_NO_THROW(handle.get());
   engine.drain();
 
   const auto stats = engine.stats();
@@ -361,7 +413,7 @@ TEST(InferenceEngine, BatchesQueuedRequestsInOneTick) {
   EXPECT_EQ(stats.latency.count, 10u);
 }
 
-TEST(InferenceEngine, ThrowingCallbackFailsOnlyItsOwnRequest) {
+TEST(InferenceEngine, ThrowingCompletionFailsOnlyItsOwnRequest) {
   TempDir dir("badcb");
   auto agent = make_dqn(23);
   ASSERT_TRUE(core::save_agent(agent, dir.file("v100__dqn.ckpt")));
@@ -371,11 +423,18 @@ TEST(InferenceEngine, ThrowingCallbackFailsOnlyItsOwnRequest) {
   engine.start();
 
   const std::size_t dim = test_net().history_len * test_net().state_dim;
-  auto bad = engine.submit(std::vector<float>(dim, 0.1f),
-                           [](const Decision&) { throw std::logic_error("callback boom"); });
+  BatchedInferenceEngine::PooledCompletion boom;
+  boom.fn = [](void*, void*, void*, std::uint64_t, const Decision&) {
+    throw std::logic_error("completion boom");
+  };
+  std::vector<float> obs(dim, 0.1f);
+  AsyncDecision bad;
+  ASSERT_EQ(engine.submit_pooled(obs, bad, boom), BatchedInferenceEngine::SubmitResult::kOk);
   EXPECT_THROW(bad.get(), std::logic_error);
   // Engine thread survives and keeps serving.
-  auto good = engine.submit(std::vector<float>(dim, 0.2f));
+  obs.assign(dim, 0.2f);
+  AsyncDecision good;
+  ASSERT_EQ(engine.submit_pooled(obs, good), BatchedInferenceEngine::SubmitResult::kOk);
   EXPECT_NO_THROW(good.get());
   engine.drain();
 }
@@ -383,8 +442,10 @@ TEST(InferenceEngine, ThrowingCallbackFailsOnlyItsOwnRequest) {
 TEST(InferenceEngine, NoModelFailsTheBatch) {
   BatchedInferenceEngine engine([] { return ModelSnapshot(); });
   engine.start();
-  auto fut = engine.submit(std::vector<float>(4, 0.0f));
-  EXPECT_THROW(fut.get(), std::runtime_error);
+  std::vector<float> obs(4, 0.0f);
+  AsyncDecision handle;
+  ASSERT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kOk);
+  EXPECT_THROW(handle.get(), std::runtime_error);
   engine.drain();
 }
 
@@ -398,8 +459,28 @@ TEST(InferenceEngine, SubmitAfterDrainIsRejected) {
   engine.start();
   engine.drain();
   EXPECT_FALSE(engine.accepting());
-  auto fut = engine.submit(std::vector<float>(4, 0.0f));
-  EXPECT_THROW(fut.get(), std::runtime_error);
+  std::vector<float> obs(4, 0.0f);
+  AsyncDecision handle;
+  EXPECT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kDraining);
+  EXPECT_FALSE(handle.valid());  // a refused submission never arms the handle
+  EXPECT_EQ(obs.size(), 4u);     // and hands the observation buffer back
+}
+
+TEST(InferenceEngine, DrainOfUnstartedEngineFailsQueuedRequests) {
+  auto model = std::make_shared<const StubModel>(4);
+  BatchedInferenceEngine engine([model] { return ModelSnapshot(model); });
+  std::vector<float> obs(4, 1.0f);
+  AsyncDecision handle;
+  ASSERT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kOk);
+  engine.drain();  // never started: the queued request is failed, not lost
+  try {
+    handle.get();
+    FAIL() << "a request drained before any tick must fail";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("stopped before serving"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(engine.stats().requests, 0u);
 }
 
 TEST(InferenceEngine, BoundedQueueRejectsWithBackpressure) {
@@ -416,23 +497,25 @@ TEST(InferenceEngine, BoundedQueueRejectsWithBackpressure) {
 
   // Engine not started: the ring fills deterministically.
   const std::size_t dim = test_net().history_len * test_net().state_dim;
-  std::vector<std::future<Decision>> queued;
-  for (int i = 0; i < 4; ++i) queued.push_back(engine.submit(std::vector<float>(dim, 0.1f)));
+  std::vector<float> obs;
+  std::vector<AsyncDecision> queued(4);
+  for (auto& handle : queued) {
+    obs.assign(dim, 0.1f);
+    ASSERT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kOk);
+  }
   EXPECT_EQ(engine.queue_depth(), 4u);
 
-  auto over = engine.submit(std::vector<float>(dim, 0.1f));
-  EXPECT_THROW(over.get(), BackpressureRejected);
-
-  Decision out;
-  std::vector<float> obs(dim, 0.2f);
-  EXPECT_EQ(engine.try_decide_blocking(obs, out),
+  obs.assign(dim, 0.2f);
+  AsyncDecision over;
+  EXPECT_EQ(engine.submit_pooled(obs, over),
             BatchedInferenceEngine::SubmitResult::kRejectedBackpressure);
-  EXPECT_EQ(obs.size(), dim);  // rejected submission hands the buffer back
-  EXPECT_EQ(engine.stats().rejected, 2u);
+  EXPECT_FALSE(over.valid());    // rejection never arms the handle
+  EXPECT_EQ(obs.size(), dim);    // rejected submission hands the buffer back
+  EXPECT_EQ(engine.stats().rejected, 1u);
 
   // The queued four are unharmed and get served once the engine runs.
   engine.start();
-  for (auto& f : queued) EXPECT_NO_THROW(f.get());
+  for (auto& handle : queued) EXPECT_NO_THROW(handle.get());
   engine.drain();
   EXPECT_EQ(engine.stats().requests, 4u);
 }
@@ -444,15 +527,17 @@ TEST(InferenceEngine, TruncatedModelOutputFailsWholeBatchLoudly) {
   auto model = std::make_shared<const StubModel>(4, /*short_batch=*/true);
   EngineConfig cfg;
   cfg.coalesce_wait = std::chrono::microseconds(0);
-  cfg.use_thread_pool = false;
   BatchedInferenceEngine engine([model] { return ModelSnapshot(model); }, cfg);
 
-  std::vector<std::future<Decision>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(engine.submit(std::vector<float>(4, 1.0f)));
+  std::vector<AsyncDecision> pending(3);
+  for (auto& handle : pending) {
+    std::vector<float> obs(4, 1.0f);
+    ASSERT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kOk);
+  }
   engine.start();
-  for (auto& f : futures) {
+  for (auto& handle : pending) {
     try {
-      f.get();
+      handle.get();
       FAIL() << "truncated batch must fail";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
@@ -465,17 +550,14 @@ TEST(InferenceEngine, TruncatedModelOutputFailsWholeBatchLoudly) {
   EXPECT_EQ(stats.latency.count, 0u);
 }
 
-// ------------------------------------------- Pooled async path (ISSUE 10)
-
-TEST(InferenceEngine, PooledAsyncMatchesBlockingAndRecyclesTokens) {
+TEST(InferenceEngine, PooledDecidesRecycleTokens) {
   auto model = std::make_shared<const StubModel>(4);
   EngineConfig cfg;
   cfg.coalesce_wait = std::chrono::microseconds(0);
-  cfg.use_thread_pool = false;
   BatchedInferenceEngine engine([model] { return ModelSnapshot(model); }, cfg);
   engine.start();
 
-  // Sequential pooled decides recycle ONE completion token forever.
+  // Sequential decides recycle ONE completion token forever.
   std::vector<float> obs;
   for (int i = 0; i < 100; ++i) {
     obs.assign(4, i % 2 ? 1.0f : -1.0f);
@@ -504,43 +586,10 @@ TEST(InferenceEngine, PooledAsyncMatchesBlockingAndRecyclesTokens) {
   EXPECT_EQ(engine.stats().requests, 140u);
 }
 
-TEST(InferenceEngine, PooledAsyncBackpressureAndDrainLeaveHandleInvalid) {
-  auto model = std::make_shared<const StubModel>(4);
-  EngineConfig cfg;
-  cfg.max_queue = 2;
-  cfg.coalesce_wait = std::chrono::microseconds(0);
-  cfg.use_thread_pool = false;
-  BatchedInferenceEngine engine([model] { return ModelSnapshot(model); }, cfg);
-
-  // Engine not started: the ring fills deterministically.
-  std::vector<float> obs(4, 1.0f);
-  AsyncDecision a, b, over;
-  ASSERT_EQ(engine.submit_pooled(obs, a), BatchedInferenceEngine::SubmitResult::kOk);
-  obs.assign(4, 1.0f);
-  ASSERT_EQ(engine.submit_pooled(obs, b), BatchedInferenceEngine::SubmitResult::kOk);
-  obs.assign(4, 1.0f);
-  EXPECT_EQ(engine.submit_pooled(obs, over),
-            BatchedInferenceEngine::SubmitResult::kRejectedBackpressure);
-  EXPECT_FALSE(over.valid());        // rejection never arms the handle
-  EXPECT_EQ(obs.size(), 4u);         // the observation buffer came back
-  EXPECT_EQ(engine.stats().rejected, 1u);
-
-  engine.start();
-  EXPECT_EQ(a.get().action, 1);
-  EXPECT_EQ(b.get().action, 1);
-  engine.drain();
-
-  AsyncDecision after;
-  obs.assign(4, 1.0f);
-  EXPECT_EQ(engine.submit_pooled(obs, after), BatchedInferenceEngine::SubmitResult::kDraining);
-  EXPECT_FALSE(after.valid());
-}
-
 TEST(InferenceEngine, AbandonedPooledHandleReturnsItsTokenSafely) {
   auto model = std::make_shared<const StubModel>(4);
   EngineConfig cfg;
   cfg.coalesce_wait = std::chrono::microseconds(0);
-  cfg.use_thread_pool = false;
   BatchedInferenceEngine engine([model] { return ModelSnapshot(model); }, cfg);
   engine.start();
 
@@ -561,19 +610,6 @@ TEST(InferenceEngine, AbandonedPooledHandleReturnsItsTokenSafely) {
     EXPECT_EQ(handle.get().action, 0);
   }
   EXPECT_LE(engine.tokens_created(), 2u);
-  engine.drain();
-}
-
-TEST(InferenceEngine, PooledAsyncFailedBatchRethrowsOnGet) {
-  EngineConfig cfg;
-  cfg.coalesce_wait = std::chrono::microseconds(0);
-  cfg.use_thread_pool = false;
-  BatchedInferenceEngine engine([] { return ModelSnapshot(); }, cfg);
-  engine.start();
-  std::vector<float> obs(4, 0.0f);
-  AsyncDecision handle;
-  ASSERT_EQ(engine.submit_pooled(obs, handle), BatchedInferenceEngine::SubmitResult::kOk);
-  EXPECT_THROW(handle.get(), std::runtime_error);
   engine.drain();
 }
 
@@ -823,15 +859,15 @@ TEST(ProvisioningService, GracefulDrainCompletesInFlight) {
 
   // Queue decisions while the engine thread is not yet running, then start
   // and immediately drain: every queued request must still be answered.
-  std::vector<std::future<Decision>> in_flight;
-  for (int i = 0; i < 20; ++i) in_flight.push_back(service.decide_async(id));
+  std::vector<AsyncDecision> in_flight;
+  for (int i = 0; i < 20; ++i) in_flight.push_back(service.decide_async_pooled(id));
   service.start();
   service.drain_and_stop();
-  for (auto& f : in_flight) EXPECT_NO_THROW(f.get());
+  for (auto& handle : in_flight) EXPECT_NO_THROW(handle.get());
 
   // After the drain new work is rejected, loudly.
-  auto rejected = service.decide_async(id);
-  EXPECT_THROW(rejected.get(), std::runtime_error);
+  EXPECT_THROW((void)service.decide_async_pooled(id), std::runtime_error);
+  EXPECT_THROW((void)service.decide(id), std::runtime_error);
 }
 
 TEST(ProvisioningService, UnknownAndClosedSessionsThrow) {
@@ -883,12 +919,13 @@ TEST(ProvisioningService, DecideThrowsBackpressureWhenEngineSaturated) {
   // Deliberately not started: the single queue slot stays occupied.
   const SessionId id = service.open_session();
   service.observe(id, make_sample(0, 0), make_ctx(0));
-  auto parked = service.decide_async(id);  // fills the only slot
+  auto parked = service.decide_async_pooled(id);  // fills the only slot
 
   EXPECT_THROW(service.decide(id), BackpressureRejected);
-  Decision out;
-  EXPECT_EQ(service.try_decide(id, out),
+  AsyncDecision out;
+  EXPECT_EQ(service.try_decide_async(id, out),
             BatchedInferenceEngine::SubmitResult::kRejectedBackpressure);
+  EXPECT_FALSE(out.valid());
 
   service.start();
   EXPECT_NO_THROW(parked.get());
@@ -968,60 +1005,61 @@ TEST(ProvisioningService, BackgroundSweeperReapsAbandonedSessions) {
   service.drain_and_stop();
 }
 
-TEST(ProvisioningService, IdleAwareSweeperSkipsQuietTablesButStillReaps) {
-  TempDir dir("idlesweep");
+TEST(ProvisioningService, LruSweepExpiresSessionsInLastAccessOrder) {
+  TempDir dir("lrusweep");
   auto agent = make_dqn(99);
   ASSERT_TRUE(core::save_agent(agent, dir.file("v100__dqn.ckpt")));
   ModelRegistry registry(test_registry_config());
   ASSERT_TRUE(registry.load_file(dir.file("v100__dqn.ckpt"), "v100").ok);
 
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kTtl = std::chrono::milliseconds(400);
+  constexpr auto kPast = kTtl + std::chrono::milliseconds(40);  // safely expired
   ServiceConfig cfg;
   cfg.history_len = test_net().history_len;
-  cfg.shards = 1;  // every tick visits the same table
-  cfg.session_ttl_seconds = 0.06;
-  cfg.sweep_interval_seconds = 0.002;
-  cfg.sweep_idle_threshold = 1024;
+  cfg.shards = 1;  // one LRU list holds every session
+  cfg.session_ttl_seconds = std::chrono::duration<double>(kTtl).count();
+  cfg.sweep_interval_seconds = 100.0;  // only the explicit sweeps below run
   ProvisioningService service(registry, {"v100", "dqn", "moe"}, cfg);
   service.start();
-  for (int i = 0; i < 6; ++i) service.open_session();
 
-  // Quiet phase: nothing expires for 60ms, so after the first full scan
-  // establishes the expiry hint, ticks skip instead of rescanning.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  const auto quiet = service.report();
-  EXPECT_GT(quiet.sweep_wakeups, 0u);
-  EXPECT_GT(quiet.sweep_skipped, 0u);
-  EXPECT_EQ(quiet.evictions, 0u);
-  // Every tick of this single-shard table declines its scan, so the
-  // sweeper stretches its wakeup interval (bounded backoff).
-  EXPECT_GT(quiet.sweep_stretches, 0u);
+  // Open a, b, c, d, then touch c and later a: out of open order, so the
+  // last-access order is b, d (never touched), c, a.
+  const SessionId a = service.open_session();
+  const SessionId b = service.open_session();
+  const SessionId c = service.open_session();
+  const SessionId d = service.open_session();
+  const auto opened = Clock::now();
+  // Touches kGap apart: a's touch lands kTtl - 2 * kGap = 100 ms before
+  // its open expires, and every survival check below has kGap - (kPast -
+  // kTtl) = 110 ms of slack for a slow scheduler.
+  constexpr auto kGap = std::chrono::milliseconds(150);
+  std::this_thread::sleep_until(opened + kGap);
+  service.observe(c, make_sample(c, 0), make_ctx(c));
+  const auto touched_c = Clock::now();
+  std::this_thread::sleep_until(opened + 2 * kGap);
+  service.observe(a, make_sample(a, 0), make_ctx(a));
+  const auto touched_a = Clock::now();
 
-  // The skip cadence must not delay actual expiry: once the hint passes,
-  // the sweeper rescans and reaps every abandoned session.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (service.session_count() > 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  // Past the TTL of the open: the sweep reaps exactly the untouched pair
+  // and the touched sessions survive their older neighbours.
+  std::this_thread::sleep_until(opened + kPast);
+  EXPECT_EQ(service.evict_expired(), 2u);
+  EXPECT_EQ(service.session_count(), 2u);
+  EXPECT_THROW(service.session_frames_seen(b), std::out_of_range);
+  EXPECT_THROW(service.session_frames_seen(d), std::out_of_range);
+
+  // Then c expires before a, in last-access order.
+  std::this_thread::sleep_until(touched_c + kPast);
+  EXPECT_EQ(service.evict_expired(), 1u);
+  EXPECT_EQ(service.session_count(), 1u);
+  EXPECT_THROW(service.session_frames_seen(c), std::out_of_range);
+  std::this_thread::sleep_until(touched_a + kPast);
+  EXPECT_EQ(service.evict_expired(), 1u);
   EXPECT_EQ(service.session_count(), 0u);
-  EXPECT_EQ(service.report().evictions, 6u);
-  EXPECT_GE(service.report().sweep_skipped, quiet.sweep_skipped);
+  EXPECT_EQ(service.evict_expired(), 0u);  // an empty list sweeps nothing
+  EXPECT_EQ(service.report().evictions, 4u);
   service.drain_and_stop();
-
-  // Control: sweep_idle_threshold=0 disables skipping for non-empty
-  // tables — the same quiet phase full-scans every tick.
-  ServiceConfig busy_cfg = cfg;
-  busy_cfg.session_ttl_seconds = 10.0;
-  busy_cfg.sweep_idle_threshold = 0;
-  ProvisioningService busy(registry, {"v100", "dqn", "moe"}, busy_cfg);
-  busy.start();
-  for (int i = 0; i < 4; ++i) busy.open_session();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  const auto report = busy.report();
-  EXPECT_GT(report.sweep_wakeups, 0u);
-  EXPECT_EQ(report.sweep_skipped, 0u);
-  // No skips means no quiet streak: the wakeup interval never stretches.
-  EXPECT_EQ(report.sweep_stretches, 0u);
-  busy.drain_and_stop();
 }
 
 TEST(ProvisioningService, MetricsTextPassesLintAndCarriesLiveGauges) {
@@ -1190,10 +1228,10 @@ TEST(ProvisioningService, ShardedRaceStormStaysConsistent) {
   std::vector<SessionId> pool;
 
   // Workers mix every session-layer operation on a shared id pool while
-  // the TTL sweeper runs hot: open, observe, future-based and pooled
-  // async decides, blocking decide and close all race across shards. The invariants are (a) no
-  // crash/UB, (b) the only session-level failure is std::out_of_range,
-  // (c) served-decision accounting balances exactly.
+  // the TTL sweeper runs hot: open, observe, pooled async decides,
+  // blocking decides and close all race the LRU lists across shards. The
+  // invariants are (a) no crash/UB, (b) the only session-level failure is
+  // std::out_of_range, (c) served-decision accounting balances exactly.
   const auto worker = [&](unsigned seed) {
     util::Rng rng(seed);
     while (!stop.load(std::memory_order_relaxed)) {
@@ -1215,21 +1253,18 @@ TEST(ProvisioningService, ShardedRaceStormStaysConsistent) {
         if (pick < 5) {
           service.observe(id, make_sample(id, 0), make_ctx(id));
         } else if (pick == 5) {
-          // Pooled async path races the future-based one below.
           AsyncDecision handle;
           if (service.try_decide_async(id, handle) ==
               BatchedInferenceEngine::SubmitResult::kOk) {
             handle.get();
             served.fetch_add(1, std::memory_order_relaxed);
           }
-        } else if (pick < 8) {
-          service.decide_async(id).get();
+        } else if (pick == 6) {
+          service.decide_async_pooled(id).get();
           served.fetch_add(1, std::memory_order_relaxed);
-        } else if (pick == 8) {
-          Decision d;
-          if (service.try_decide(id, d) == BatchedInferenceEngine::SubmitResult::kOk) {
-            served.fetch_add(1, std::memory_order_relaxed);
-          }
+        } else if (pick < 9) {
+          service.decide(id);
+          served.fetch_add(1, std::memory_order_relaxed);
         } else {
           service.close_session(id);
         }
@@ -1270,9 +1305,9 @@ TEST(ProvisioningService, CloseSessionRacesInFlightDecide) {
 
   // Close while the decision is (likely) still queued: the session object
   // is kept alive by the in-flight request, which completes normally.
-  auto fut = service.decide_async(id);
+  auto pending = service.decide_async_pooled(id);
   service.close_session(id);
-  EXPECT_NO_THROW(fut.get());
+  EXPECT_NO_THROW(pending.get());
   service.drain_and_stop();
   EXPECT_EQ(service.report().decisions, 1u);
   EXPECT_EQ(service.session_count(), 0u);
@@ -1330,6 +1365,28 @@ TEST(ProvisioningService, ShardCountIsReportedAndConfigurable) {
   const std::string text = service.metrics_text();
   EXPECT_NE(text.find("mirage_serve_session_shards 5"), std::string::npos) << text;
   EXPECT_NE(text.find("mirage_serve_evictions_total 0"), std::string::npos);
+  service.drain_and_stop();
+}
+
+TEST(ProvisioningService, ReportCountsADecisionAsSoonAsItReturns) {
+  // The engine publishes a tick's stats before it resolves any request of
+  // that tick, so a report taken right after decide() returns already
+  // counts the decision — nothing lags into the next reporting window.
+  auto model = std::make_shared<const StubModel>(test_net().history_len * rl::kFrameDim);
+  ServiceConfig cfg;
+  cfg.history_len = test_net().history_len;
+  cfg.engine.coalesce_wait = std::chrono::microseconds(0);
+  ProvisioningService service(ModelSnapshot(model), cfg);
+  service.start();
+  const SessionId id = service.open_session();
+  for (std::uint64_t i = 1; i <= 200; ++i) {
+    service.decide(id);
+    const auto report = service.report();
+    ASSERT_EQ(report.decisions, i);
+    ASSERT_EQ(report.engine.requests, i);
+    ASSERT_EQ(report.engine.ticks, i);
+    ASSERT_EQ(report.engine.latency.count, i);
+  }
   service.drain_and_stop();
 }
 
