@@ -11,8 +11,8 @@
 // instrumentation ON), and tracing-off vs tracing-on runs at the best
 // thread count must agree bitwise while costing < obs_overhead_max
 // (default 3%). The overhead is the median over `obs_reps` interleaved
-// off/on pairs of the on/off process-CPU-time ratio, each side timed over
-// a window of repeated sweeps (~1 s of wall time), so one noisy window
+// off/on pairs of the on/off wall-time ratio, each side timed over a
+// window of repeated sweeps (~1 s of wall time), so one noisy window
 // cannot fail it.
 //
 //   ./bench_scenario_sweep [threads=1,2,4,8] [cells=16] [months=3] [scale=0.4]
@@ -24,8 +24,6 @@
 #include <string>
 #include <vector>
 
-#include <time.h>
-
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -34,6 +32,7 @@
 #include "sim/simulator.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/time_utils.hpp"
 
 namespace {
@@ -81,33 +80,20 @@ bool audit_steady_state_allocs(const mirage::scenario::ScenarioSpec& spec,
   return per_pass <= 0.01;
 }
 
-/// CPU time consumed so far by every thread of the process, in seconds.
-double process_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-struct SweepTime {
-  double wall = 0.0;
-  double cpu = 0.0;
-};
-
-/// Wall and process CPU time of one sweep at a fixed thread count. The
-/// combined hash is checked against `expect_hash`, so this doubles as the
-/// tracing-on == tracing-off bitwise determinism check.
-SweepTime time_sweep(const std::vector<mirage::scenario::ScenarioSpec>& cells,
-                     std::size_t threads, std::uint64_t expect_hash,
-                     mirage::scenario::SweepTrace* trace, bool* hashes_ok) {
+/// Wall time of one sweep at a fixed thread count. The combined hash is
+/// checked against `expect_hash`, so this doubles as the tracing-on ==
+/// tracing-off bitwise determinism check.
+double time_sweep(const std::vector<mirage::scenario::ScenarioSpec>& cells,
+                  std::size_t threads, std::uint64_t expect_hash,
+                  mirage::scenario::SweepTrace* trace, bool* hashes_ok) {
   using namespace mirage;
   const double t0 = util::wall_seconds();
-  const double c0 = process_cpu_seconds();
   const auto report = scenario::SweepRunner(threads).run(cells, trace);
-  const SweepTime t{util::wall_seconds() - t0, process_cpu_seconds() - c0};
+  const double seconds = util::wall_seconds() - t0;
   std::uint64_t combined = util::kFnv1a64Basis;
   for (const auto& c : report.cells) combined ^= c.schedule_hash;
   if (combined != expect_hash) *hashes_ok = false;
-  return t;
+  return seconds;
 }
 
 }  // namespace
@@ -207,14 +193,11 @@ int main(int argc, char** argv) {
   // ---- observability overhead gate: tracing off vs on at best_threads ----
   // Same cells, same thread count; the only difference is obs::enabled()
   // plus a per-cell trace ring. Results must stay bitwise identical and
-  // the median paired on/off CPU-time ratio must stay under
-  // 1+obs_overhead_max. Tracing costs CPU on the cell threads, and process
-  // CPU time counts all of it, but not the time a worker sits preempted:
-  // on a shared box that preemption stretches a parallel sweep's wall time
-  // (the slowest worker sets it) by far more than the 3% being gated. Each
-  // pair times ~kWindowSeconds of sweeps per side, interleaved one sweep at
-  // a time in off/on, on/off order so slow drift charges both sides alike;
-  // the median over pairs then discards the pairs a hiccup landed in.
+  // the median paired on/off wall-time ratio must stay under
+  // 1+obs_overhead_max. Each pair times ~kWindowSeconds of sweeps per side,
+  // interleaved one sweep at a time in off/on, on/off order so slow drift
+  // charges both sides alike; the median over pairs then discards the
+  // pairs a scheduler hiccup landed in.
   constexpr double kWindowSeconds = 1.0;
   const double overhead_max = cli.get_double("obs_overhead_max", 0.03);
   const int pairs = std::max(1, static_cast<int>(cli.get_int("obs_reps", 31)));
@@ -230,34 +213,29 @@ int main(int argc, char** argv) {
   std::vector<double> ratios;
   double off_wall = 0.0, on_wall = 0.0;
   for (int p = 0; p < pairs; ++p) {
-    SweepTime off, on;
+    double off = 0.0, on = 0.0;
     for (int r = 0; r < runs; ++r) {
       for (int side = 0; side < 2; ++side) {
         const bool tracing = (side == 0) == (r % 2 == 1);
         obs::set_enabled(tracing);
-        const SweepTime t =
+        (tracing ? on : off) +=
             time_sweep(cells, best_threads, base_hash, tracing ? &trace : nullptr, &hashes_ok);
-        SweepTime& sum = tracing ? on : off;
-        sum.wall += t.wall;
-        sum.cpu += t.cpu;
       }
     }
-    off_wall += off.wall;
-    on_wall += on.wall;
-    ratios.push_back(on.cpu / off.cpu);
+    off_wall += off;
+    on_wall += on;
+    ratios.push_back(on / off);
   }
-  std::sort(ratios.begin(), ratios.end());
-  const std::size_t mid = ratios.size() / 2;
-  const double median_ratio =
-      ratios.size() % 2 == 1 ? ratios[mid] : 0.5 * (ratios[mid - 1] + ratios[mid]);
+  const double median_ratio = util::percentile(ratios, 50.0);
   const double overhead = std::max(0.0, median_ratio - 1.0);
   const double swept = static_cast<double>(cells.size()) * runs * pairs;
   const double off_cps = swept / off_wall;
   const double on_cps = swept / on_wall;
-  std::printf("obs overhead: %d pairs x %d sweeps, on/off cpu ratio min %.4f median %.4f "
+  std::printf("obs overhead: %d pairs x %d sweeps, on/off wall ratio min %.4f median %.4f "
               "max %.4f (%.2f%%, max %.0f%%), off %6.2f cells/s, on %6.2f cells/s, "
               "%llu trace events, identical=%s\n",
-              pairs, runs, ratios.front(), median_ratio, ratios.back(), 100.0 * overhead,
+              pairs, runs, *std::min_element(ratios.begin(), ratios.end()), median_ratio,
+              *std::max_element(ratios.begin(), ratios.end()), 100.0 * overhead,
               100.0 * overhead_max, off_cps, on_cps,
               static_cast<unsigned long long>(trace.total_events()), hashes_ok ? "yes" : "NO");
   json.add("cells_per_sec_obs_off", off_cps);

@@ -311,7 +311,10 @@ std::string MetricsRegistry::to_prometheus() const {
           }
           out << '\n';
         }
-        out << e.name << "_count " << e.histogram->count() << '\n';
+        // _count is the +Inf bucket just written, not a second read of the
+        // live histogram: a record() landing between the two reads would
+        // otherwise expose a count that disagrees with the buckets.
+        out << e.name << "_count " << cumulative << '\n';
         out << e.name << "_sum " << util::format_double_exact(e.histogram->sum()) << '\n';
         break;
       }

@@ -235,7 +235,7 @@ void BatchedInferenceEngine::drain() {
       head_ = (head_ + 1) % ring_.size();
       --queued_;
     }
-    fulfill(leftover, nullptr, stopped);
+    resolve(leftover, nullptr, stopped);
   }
 }
 
@@ -305,24 +305,27 @@ void BatchedInferenceEngine::run() {
   }
 }
 
-void BatchedInferenceEngine::fulfill(Request& req, const Decision* decision,
+void BatchedInferenceEngine::run_hook(Request& req, const Decision& decision) {
+  detail::CompletionToken* t = req.token;
+  if (!t->on_complete) return;
+  try {
+    t->on_complete(t->ctx_a, t->ctx_b, t->ctx_c, t->ctx_id, decision);
+  } catch (...) {
+    // A throwing hook must not take down the engine thread or starve the
+    // rest of the batch — it fails only its own request. The token is not
+    // resolved yet, so no waiter can read `error` before resolve() runs.
+    t->error = std::current_exception();
+  }
+}
+
+void BatchedInferenceEngine::resolve(Request& req, const Decision* decision,
                                      const std::exception_ptr& failure) {
   detail::CompletionToken* t = req.token;
   req.token = nullptr;
-  std::exception_ptr resolve_error = failure;
-  if (!resolve_error && t->on_complete) {
-    try {
-      t->on_complete(t->ctx_a, t->ctx_b, t->ctx_c, t->ctx_id, *decision);
-    } catch (...) {
-      // A throwing hook must not take down the engine thread or starve
-      // the rest of the batch — it fails only its own request.
-      resolve_error = std::current_exception();
-    }
-  }
   std::lock_guard<std::mutex> lock(t->mutex);
-  if (resolve_error) {
-    t->error = resolve_error;
-  } else {
+  if (failure) {
+    t->error = failure;
+  } else if (!t->error) {
     t->decision = *decision;
   }
   t->done = true;
@@ -385,8 +388,15 @@ void BatchedInferenceEngine::serve_batch(std::size_t take) {
     batch_max_ = std::max(batch_max_, take);
     busy_seconds_ += t1 - t0;
   }
+  // Every completion hook of the batch runs, then the epilogue once, then
+  // the requests resolve: a caller's decision returns only after the
+  // epilogue has seen (e.g. durably committed) the whole batch's hooks.
+  if (!failure) {
+    for (std::size_t i = 0; i < take; ++i) run_hook(batch_[i], decisions_[i]);
+    if (epilogue_fn_ != nullptr) epilogue_fn_(epilogue_ctx_);
+  }
   for (std::size_t i = 0; i < take; ++i) {
-    fulfill(batch_[i], failure ? nullptr : &decisions_[i], failure);
+    resolve(batch_[i], failure ? nullptr : &decisions_[i], failure);
   }
   if (failure) return;
 

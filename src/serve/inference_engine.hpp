@@ -174,9 +174,9 @@ class BatchedInferenceEngine {
 
   /// Completion context for submit_pooled. `fn` runs on the engine thread
   /// for successfully served decisions only (a drained or failed request
-  /// is never counted as served), right before the handle resolves, with
-  /// the three context pointers and id passed through; a throwing `fn`
-  /// fails only its own request. `keepalive` pins whatever the pointers
+  /// is never counted as served), before the handle resolves, with the
+  /// three context pointers and id passed through; a throwing `fn` fails
+  /// only its own request. `keepalive` pins whatever the pointers
   /// reference until the request resolves.
   struct PooledCompletion {
     void (*fn)(void*, void*, void*, std::uint64_t, const Decision&) = nullptr;
@@ -202,6 +202,15 @@ class BatchedInferenceEngine {
     return submit_pooled(observation, out, PooledCompletion());
   }
 
+  /// Runs `fn(ctx)` on the engine thread once per served batch, after
+  /// every completion hook of the batch and before any of its requests
+  /// resolves (the service commits the batch's journal records here, one
+  /// fsync per batch). Set before start().
+  void set_batch_epilogue(void (*fn)(void*), void* ctx) {
+    epilogue_fn_ = fn;
+    epilogue_ctx_ = ctx;
+  }
+
   /// Completion tokens ever created (the allocation audit: flat in a
   /// warmed steady state).
   std::size_t tokens_created() const { return token_pool_.created(); }
@@ -225,10 +234,12 @@ class BatchedInferenceEngine {
 
   void run();
   void serve_batch(std::size_t take);
-  /// Deliver one fulfilled request (engine thread). Success runs the
-  /// token's completion hook then resolves; failure resolves with
-  /// `failure`.
-  void fulfill(Request& req, const Decision* decision, const std::exception_ptr& failure);
+  /// Run one served request's completion hook (engine thread); a throw is
+  /// parked in the token for resolve().
+  void run_hook(Request& req, const Decision& decision);
+  /// Resolve one request (engine thread): with `failure`, or else with
+  /// `decision` unless its hook threw.
+  void resolve(Request& req, const Decision* decision, const std::exception_ptr& failure);
   /// Reserve the next ring slot or report why not (caller holds mutex_).
   Request* reserve_slot_locked();
 
@@ -245,6 +256,8 @@ class BatchedInferenceEngine {
   std::thread worker_;
   std::atomic<std::uint64_t> rejected_{0};
   detail::TokenPool token_pool_;   ///< recycled completion tokens
+  void (*epilogue_fn_)(void*) = nullptr;
+  void* epilogue_ctx_ = nullptr;
 
   // Engine-thread tick scratch (no locks needed): extracted requests and
   // the reusable observation/decision buffers for the batched forward.

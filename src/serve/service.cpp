@@ -425,6 +425,12 @@ void ProvisioningService::init_wal() {
   if (!wal_.open(config_.wal.dir, config_.wal.wal, &error)) {
     throw std::runtime_error("ProvisioningService: cannot open session journal: " + error);
   }
+  if (config_.wal.wal.sync == util::wal::SyncLevel::kOnCommit) {
+    // Decision records are appended by the completion hooks; one commit
+    // per served batch makes them durable before any of them returns.
+    engine_.set_batch_epilogue(
+        [](void* self) { static_cast<ProvisioningService*>(self)->journal_commit(); }, this);
+  }
 }
 
 void ProvisioningService::replay_wal() {
@@ -529,12 +535,14 @@ void ProvisioningService::replay_wal() {
   }
 }
 
-void ProvisioningService::journal_append(const util::wal::Chunk* chunks,
-                                         std::size_t count) const {
+void ProvisioningService::journal_append(const util::wal::Chunk* chunks, std::size_t count,
+                                         bool batch_commit) const {
   std::lock_guard<std::mutex> lock(wal_mutex_);
   if (!wal_.is_open()) return;  // drained: durability is over, serving isn't
   bool ok = wal_.append(chunks, count);
-  if (ok && config_.wal.wal.sync == util::wal::SyncLevel::kOnCommit) ok = wal_.commit();
+  if (ok && !batch_commit && config_.wal.wal.sync == util::wal::SyncLevel::kOnCommit) {
+    ok = wal_.commit();
+  }
   if (!ok) wal_failed_.store(true, std::memory_order_relaxed);
 }
 
@@ -580,7 +588,7 @@ void ProvisioningService::journal_decision(SessionId id, int action) const {
   util::wal::store_u64_le(head + 1, id);
   head[9] = static_cast<std::uint8_t>(action == 1 ? 1 : 0);
   const util::wal::Chunk chunk{head, sizeof(head)};
-  journal_append(&chunk, 1);
+  journal_append(&chunk, 1, /*batch_commit=*/true);
 }
 
 void ProvisioningService::journal_evict(SessionId id) const {

@@ -277,7 +277,10 @@ class ProvisioningService {
   // wal_failed_ instead of throwing — serving outlives its journal.
   void init_wal();
   void replay_wal();
-  void journal_append(const util::wal::Chunk* chunks, std::size_t count) const;
+  /// Append one record; at kOnCommit also commit it, unless
+  /// `batch_commit` leaves that to the engine's batch epilogue.
+  void journal_append(const util::wal::Chunk* chunks, std::size_t count,
+                      bool batch_commit = false) const;
   void journal_open(SessionId id) const;
   void journal_close(SessionId id) const;
   void journal_frame(SessionId id, const float* frame, std::size_t size) const;

@@ -458,8 +458,9 @@ void Simulator::schedule_pass_no_backfill() {
 
 void Simulator::schedule_pass() {
   // Sampled: a pass runs in ~1 µs, so timing every one costs ~10% of the
-  // pass itself; 1-in-16 keeps the histogram representative at <1% cost.
-  OBS_SPAN_SAMPLED("sim_schedule_pass", 4);
+  // pass itself; 1-in-64 still yields thousands of samples per sweep while
+  // keeping the two clock reads and the shared-ring write off most passes.
+  OBS_SPAN_SAMPLED("sim_schedule_pass", 6);
   needs_schedule_ = false;
   ++scheduler_passes_;
   if (pending_.empty()) return;

@@ -1036,7 +1036,8 @@ TEST(ServeWal, KillNineThenWarmRestartServesBitwiseIdenticalDecisions) {
   if (pid == 0) {
     // Child: serve with per-record durability, then die without any
     // shutdown path. decide() returns only after the completion hook has
-    // journaled the decision, so everything below is on disk when we die.
+    // journaled the decision and the engine's batch epilogue has committed
+    // it, so everything below is on disk when we die.
     serve::ProvisioningService victim(model, cfg);
     victim.start();
     const auto s1 = victim.open_session();
