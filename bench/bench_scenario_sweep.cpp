@@ -1,9 +1,10 @@
 // Scenario sweep scaling bench: run the same scenario matrix at several
-// thread-pool sizes and report wall time + speedup vs 1 thread. Cells are
-// pure functions of their specs with pre-assigned seeds, so the sweep is
-// embarrassingly parallel — on an 8-core machine the 8-thread run should
-// clear 4x over 1 thread (the acceptance bar); results are asserted
-// bitwise identical across all thread counts.
+// thread-pool sizes and report wall time (median of 3 sweeps each) +
+// speedup vs 1 thread. Cells are pure functions of their specs with
+// pre-assigned seeds, so the sweep is embarrassingly parallel — on an
+// 8-core machine the 8-thread run should clear 4x over 1 thread (the
+// acceptance bar); results are asserted bitwise identical across all
+// thread counts.
 //
 // The observability satellite adds two gates on top of the scaling runs:
 // the steady-state allocation audit executes with metrics, spans and a
@@ -80,20 +81,24 @@ bool audit_steady_state_allocs(const mirage::scenario::ScenarioSpec& spec,
   return per_pass <= 0.01;
 }
 
-/// Wall time of one sweep at a fixed thread count. The combined hash is
-/// checked against `expect_hash`, so this doubles as the tracing-on ==
-/// tracing-off bitwise determinism check.
-double time_sweep(const std::vector<mirage::scenario::ScenarioSpec>& cells,
-                  std::size_t threads, std::uint64_t expect_hash,
-                  mirage::scenario::SweepTrace* trace, bool* hashes_ok) {
+/// Wall time of one sweep at a fixed thread count, plus the combined
+/// schedule hash of its cells: comparing hashes across thread counts and
+/// tracing modes is the bitwise determinism check.
+struct SweepTiming {
+  double seconds = 0.0;
+  std::uint64_t hash = 0;
+};
+
+SweepTiming time_sweep(const std::vector<mirage::scenario::ScenarioSpec>& cells,
+                       std::size_t threads, mirage::scenario::SweepTrace* trace) {
   using namespace mirage;
+  SweepTiming timing;
   const double t0 = util::wall_seconds();
   const auto report = scenario::SweepRunner(threads).run(cells, trace);
-  const double seconds = util::wall_seconds() - t0;
-  std::uint64_t combined = util::kFnv1a64Basis;
-  for (const auto& c : report.cells) combined ^= c.schedule_hash;
-  if (combined != expect_hash) *hashes_ok = false;
-  return seconds;
+  timing.seconds = util::wall_seconds() - t0;
+  timing.hash = util::kFnv1a64Basis;
+  for (const auto& c : report.cells) timing.hash ^= c.schedule_hash;
+  return timing;
 }
 
 }  // namespace
@@ -157,24 +162,30 @@ int main(int argc, char** argv) {
                          ",scale=" + std::to_string(matrix.base.job_count_scale) +
                          ",cluster=" + matrix.base.cluster);
   json.add("cells", static_cast<std::int64_t>(cells.size()));
+  // Each thread count is timed over kScalingSweeps sweeps and scored by
+  // their median, so one slow or lucky sweep can neither pick the thread
+  // count nor set the gated cells_per_sec.
+  constexpr int kScalingSweeps = 3;
   double best_cells_per_sec = 0.0;
   double best_seconds = 0.0;
   std::size_t best_threads = 0;
   for (const std::size_t threads : thread_counts) {
-    const double t0 = util::wall_seconds();
-    const auto report = scenario::SweepRunner(threads).run(cells);
-    const double seconds = util::wall_seconds() - t0;
-
-    std::uint64_t combined = util::kFnv1a64Basis;
-    for (const auto& c : report.cells) combined ^= c.schedule_hash;
-    if (base_seconds == 0.0) {
-      base_seconds = seconds;
-      base_hash = combined;
+    std::vector<double> sweep_seconds;
+    bool identical = true;
+    for (int rep = 0; rep < kScalingSweeps; ++rep) {
+      const SweepTiming timing = time_sweep(cells, threads, nullptr);
+      // The very first sweep fixes the reference hash all others match.
+      if (base_seconds == 0.0 && rep == 0) base_hash = timing.hash;
+      identical = identical && timing.hash == base_hash;
+      sweep_seconds.push_back(timing.seconds);
     }
-    const bool identical = combined == base_hash;
+    const double seconds = util::percentile(sweep_seconds, 50.0);
+    if (base_seconds == 0.0) base_seconds = seconds;
     const double cells_per_sec = static_cast<double>(cells.size()) / seconds;
-    std::printf("  threads=%2zu  %7.2fs  speedup %5.2fx  cells/s %6.2f  identical=%s\n", threads,
-                seconds, base_seconds / seconds, cells_per_sec, identical ? "yes" : "NO");
+    std::printf("  threads=%2zu  %7.2fs  speedup %5.2fx  cells/s %6.2f  identical=%s"
+                "  (median of %d sweeps)\n",
+                threads, seconds, base_seconds / seconds, cells_per_sec,
+                identical ? "yes" : "NO", kScalingSweeps);
     json.add("wall_seconds_t" + std::to_string(threads), seconds);
     json.add("cells_per_sec_t" + std::to_string(threads), cells_per_sec);
     if (cells_per_sec > best_cells_per_sec) {
@@ -218,8 +229,9 @@ int main(int argc, char** argv) {
       for (int side = 0; side < 2; ++side) {
         const bool tracing = (side == 0) == (r % 2 == 1);
         obs::set_enabled(tracing);
-        (tracing ? on : off) +=
-            time_sweep(cells, best_threads, base_hash, tracing ? &trace : nullptr, &hashes_ok);
+        const SweepTiming timing = time_sweep(cells, best_threads, tracing ? &trace : nullptr);
+        hashes_ok = hashes_ok && timing.hash == base_hash;
+        (tracing ? on : off) += timing.seconds;
       }
     }
     off_wall += off;

@@ -44,6 +44,7 @@
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "serve/service.hpp"
 #include "sim/simulator.hpp"
 #include "util/config.hpp"
@@ -189,10 +190,12 @@ int main(int argc, char** argv) {
   std::printf("throughput          %.0f decisions/s sustained, %llu ticks, mean batch %.1f\n",
               report.decisions_per_second,
               static_cast<unsigned long long>(report.engine.ticks), report.engine.mean_batch);
-  std::printf("request latency     p50 %.2f ms  p95 %.2f ms  p99 %.2f ms  p99.9 %.2f ms  max %.2f ms\n",
-              report.engine.latency.p50_ms, report.engine.latency.p95_ms,
-              report.engine.latency.p99_ms, report.engine.latency.p999_ms,
-              report.engine.latency.max_ms);
+  const obs::Histogram& latency = serve::decision_latency_histogram();
+  std::printf("request latency     p50 %.2f ms  p95 %.2f ms  p99 %.2f ms  p99.9 %.2f ms  "
+              "(%llu decisions)\n",
+              latency.percentile(50.0) * 1e3, latency.percentile(95.0) * 1e3,
+              latency.percentile(99.0) * 1e3, latency.percentile(99.9) * 1e3,
+              static_cast<unsigned long long>(latency.count()));
 
   if (svc_cfg.slo.enabled) {
     std::printf("\n=== health ===\n%s", service.health_text().c_str());

@@ -117,9 +117,9 @@ std::string FlightRecorder::dump(const std::string& reason) {
   fs::create_directories(bundle_dir, ec);
   if (ec) return "";
 
-  // Snapshot the global trace with recording paused: the gate stops new
-  // events racing the copy (fully quiescent rings additionally need the
-  // workload stopped — snapshot()'s standing caveat).
+  // Snapshot the global trace with recording paused: closing the gate
+  // waits out writers already inside record(), so no slot is read while
+  // it is being written.
   TraceRing& ring = global_trace();
   const bool was_recording = ring.recording();
   ring.set_recording(false);

@@ -15,9 +15,9 @@
 //     <provider files> e.g. health.txt, serve_metrics.prom
 //
 // Concurrency: dump() is serialized by a mutex and PAUSES the global
-// trace ring's recording while it snapshots (set_recording(false) gates
-// new events; callers who need a fully quiescent ring under TSan should
-// also stop traffic first — snapshot() documents the same caveat).
+// trace ring's recording while it snapshots: set_recording(false) gates
+// new events and waits for writers already inside record() to finish, so
+// a dump under live serve traffic never reads a slot mid-write.
 //
 // Signal path: install_signal_handlers() hooks SIGSEGV/SIGBUS/SIGABRT/
 // SIGFPE/SIGILL to dump a "signal_<n>" bundle and then re-raise with the

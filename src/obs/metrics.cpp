@@ -92,7 +92,7 @@ Histogram::Exemplar Histogram::exemplar(std::size_t i) const {
 }
 
 Histogram::Exemplar Histogram::exemplar_for_percentile(double q) const {
-  const std::size_t target = percentile_bucket(q);
+  const std::size_t target = percentile_bucket(q).bucket;
   // Exact bucket first, then nearest stamped bucket below (a slightly
   // faster real request), then above (a slightly slower one).
   Exemplar e = exemplar(target);
@@ -131,39 +131,41 @@ double Histogram::bucket_upper_seconds(std::size_t i) {
   return static_cast<double>(1ull << i) * 1e-6;  // bucket i upper bound: 2^i us
 }
 
-double Histogram::percentile(double q) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(n)));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t c = bucket(i);
-    if (seen + c >= std::max<std::uint64_t>(rank, 1)) {
-      // Interpolate within the bucket [lower, upper).
-      const double lower = i == 0 ? 0.0 : bucket_upper_seconds(i - 1);
-      const double upper = i + 1 >= kBuckets ? lower * 2.0 : bucket_upper_seconds(i);
-      const double frac =
-          c ? (static_cast<double>(rank - seen)) / static_cast<double>(c) : 1.0;
-      return lower + (upper - lower) * frac;
-    }
-    seen += c;
+Histogram::RankPosition Histogram::percentile_bucket(double q) const {
+  RankPosition pos;
+  pos.count = count();
+  if (pos.count == 0) return pos;
+  pos.rank = static_cast<std::uint64_t>(
+      std::ceil(std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(pos.count)));
+  const std::uint64_t target = std::max<std::uint64_t>(pos.rank, 1);
+  for (; pos.bucket < kBuckets; ++pos.bucket) {
+    pos.in_bucket = bucket(pos.bucket);
+    if (pos.below + pos.in_bucket >= target) return pos;
+    pos.below += pos.in_bucket;
   }
-  return bucket_upper_seconds(kBuckets - 2);
+  // A record() racing this read bumped count() before its bucket: the rank
+  // lies past every bucket read, so report the overflow bucket.
+  pos.bucket = kBuckets - 1;
+  pos.in_bucket = 0;
+  return pos;
 }
 
-std::size_t Histogram::percentile_bucket(double q) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0;
-  const auto rank = static_cast<std::uint64_t>(
-      std::ceil(std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(n)));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t c = bucket(i);
-    if (seen + c >= std::max<std::uint64_t>(rank, 1)) return i;
-    seen += c;
-  }
-  return kBuckets - 1;
+double Histogram::percentile(double q) const {
+  const RankPosition pos = percentile_bucket(q);
+  if (pos.count == 0) return 0.0;
+  // Interpolate within the bucket [lower, upper).
+  const std::size_t i = pos.bucket;
+  const double lower = i == 0 ? 0.0 : bucket_upper_seconds(i - 1);
+  const double upper = i + 1 >= kBuckets ? lower * 2.0 : bucket_upper_seconds(i);
+  const double frac = pos.in_bucket ? static_cast<double>(pos.rank - pos.below) /
+                                          static_cast<double>(pos.in_bucket)
+                                    : 1.0;
+  return lower + (upper - lower) * frac;
+}
+
+double Histogram::percentile_upper_seconds(double q) const {
+  const RankPosition pos = percentile_bucket(q);
+  return pos.count == 0 ? 0.0 : bucket_upper_seconds(pos.bucket);
 }
 
 void Histogram::reset() {
@@ -177,70 +179,6 @@ void Histogram::reset() {
     e.id.store(0, std::memory_order_relaxed);
     e.value_bits.store(0, std::memory_order_relaxed);
   }
-}
-
-// ------------------------------------------------------------- reservoir
-
-ReservoirHistogram::ReservoirHistogram(std::size_t capacity) : capacity_(capacity) {
-  // Full reservation up front: record() must never allocate, because the
-  // serve engine records a latency sample inside the zero-allocation
-  // steady-state window the soak bench audits.
-  samples_.reserve(capacity_);
-}
-
-void ReservoirHistogram::record(double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++count_;
-  sum_ += value;
-  if (value > max_) max_ = value;
-  if (samples_.size() < capacity_) {
-    samples_.push_back(value);
-    return;
-  }
-  // Reservoir: keep each of the `count_` samples with probability
-  // capacity/count. splitmix64 keeps this allocation-free and lock-local.
-  rng_state_ += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = rng_state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
-  const std::uint64_t slot = z % count_;
-  if (slot < samples_.size()) samples_[slot] = value;
-}
-
-namespace {
-double percentile_of_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-}  // namespace
-
-ReservoirSnapshot ReservoirHistogram::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ReservoirSnapshot s;
-  s.count = count_;
-  if (count_ == 0) return s;
-  s.mean = sum_ / static_cast<double>(count_);
-  s.max = max_;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  s.p50 = percentile_of_sorted(sorted, 50.0);
-  s.p95 = percentile_of_sorted(sorted, 95.0);
-  s.p99 = percentile_of_sorted(sorted, 99.0);
-  s.p999 = percentile_of_sorted(sorted, 99.9);
-  return s;
-}
-
-void ReservoirHistogram::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  count_ = 0;
-  sum_ = 0.0;
-  max_ = 0.0;
-  samples_.clear();
 }
 
 // -------------------------------------------------------------- registry

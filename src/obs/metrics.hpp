@@ -13,15 +13,12 @@
 //              ~1 hour) plus sharded count/sum; bucket index is computed
 //              from the exponent bits, so record() is a handful of integer
 //              ops and two relaxed adds. percentile() interpolates within
-//              the bucket — coarse but monotone, good enough for per-phase
-//              profiling. For exact tail percentiles (serve latency) use
-//              ReservoirHistogram below.
-//   ReservoirHistogram
-//              bounded reservoir with exact percentiles over the retained
-//              sample (mutex-guarded; the engine behind
-//              serve::LatencyRecorder). The reservoir is fully reserved at
-//              construction, so record() never allocates — O(1) memory and
-//              allocation-free forever (the serve soak gate depends on it).
+//              the bucket — coarse but monotone. A gate that must never
+//              read low (the serve soak's p99 bound) takes
+//              percentile_upper_seconds(): the upper edge of the bucket
+//              holding the rank, which is never below the exact value.
+//              The serve tier's one latency record is such a histogram
+//              (mirage_serve_decision_latency_seconds).
 //
 // Registration (registry().counter("name") etc.) allocates and takes a
 // mutex — do it once at startup or via a function-local static, never per
@@ -125,6 +122,9 @@ class Histogram {
   static double bucket_upper_seconds(std::size_t i);
   /// Monotone bucket-interpolated percentile estimate, q in [0,100].
   double percentile(double q) const;
+  /// Upper edge of the bucket holding the q-th percentile rank: never
+  /// below the exact percentile of the recorded samples (0 when empty).
+  double percentile_upper_seconds(double q) const;
   /// Exemplar stamped on bucket i (valid=false when none recorded).
   Exemplar exemplar(std::size_t i) const;
   /// Exemplar of the bucket holding the q-th percentile rank, falling back
@@ -145,40 +145,18 @@ class Histogram {
     std::atomic<std::uint64_t> value_bits{0};  ///< double bit pattern
     std::atomic<std::uint64_t> stamp{0};
   };
-  std::size_t percentile_bucket(double q) const;
+  /// The one rank walk: the bucket holding the q-th percentile rank, plus
+  /// what interpolating inside it needs.
+  struct RankPosition {
+    std::uint64_t count = 0;      ///< samples seen by the walk
+    std::uint64_t rank = 0;
+    std::size_t bucket = 0;
+    std::uint64_t below = 0;      ///< samples in the buckets under `bucket`
+    std::uint64_t in_bucket = 0;  ///< samples in `bucket`
+  };
+  RankPosition percentile_bucket(double q) const;
   Shard shards_[detail::kShards];
   ExemplarSlot exemplars_[kBuckets];
-};
-
-struct ReservoirSnapshot {
-  std::size_t count = 0;  ///< total recorded (not just retained) samples
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;  ///< tail the serve soak gate watches
-  double max = 0.0;
-};
-
-/// Thread-safe accumulator with reservoir sampling past `capacity`: exact
-/// percentiles over a uniformly drawn retained sample, O(1) memory for
-/// unbounded streams. This is the engine behind serve::LatencyRecorder.
-class ReservoirHistogram {
- public:
-  explicit ReservoirHistogram(std::size_t capacity = 1 << 16);
-
-  void record(double value);
-  ReservoirSnapshot snapshot() const;
-  void reset();
-
- private:
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::size_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-  std::uint64_t rng_state_ = 0x9e3779b97f4a7c15ull;  ///< reservoir replacement
-  std::vector<double> samples_;
 };
 
 /// Named metric directory. register-once / update-forever: handles are

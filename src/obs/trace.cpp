@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <thread>
 
 namespace mirage::obs {
 
@@ -27,6 +28,13 @@ const char* trace_event_kind_name(TraceEventKind k) {
 }
 
 TraceRing::TraceRing(std::size_t capacity) : events_(capacity ? capacity : 1) {}
+
+void TraceRing::set_recording(bool on) {
+  recording_.store(on, std::memory_order_seq_cst);
+  if (on) return;
+  // A writer holds its count for one struct store, so this spin is short.
+  while (writers_.load(std::memory_order_acquire) != 0) std::this_thread::yield();
+}
 
 std::vector<TraceEvent> TraceRing::snapshot() const {
   const std::uint64_t n = recorded();

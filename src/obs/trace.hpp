@@ -13,9 +13,10 @@
 //               checkpoint hot-reload).
 //
 // Rings are fixed-capacity and overwrite the oldest events when full (the
-// recorded total keeps counting, so exporters report drops). record() is a
-// relaxed atomic slot claim plus a struct store — no locks, no heap, so
-// instrumented steady-state loops stay allocation-free.
+// recorded total keeps counting, so exporters report drops). record() is
+// an atomic slot claim plus a struct store, bracketed by an in-flight
+// writer count that closing the recording gate waits out — no locks, no
+// heap, so instrumented steady-state loops stay allocation-free.
 //
 // Event names are `const char*` and must point at static storage
 // (literals); the ring stores the pointer, not a copy.
@@ -72,20 +73,32 @@ struct TraceEvent {
 
 /// Fixed-capacity multi-writer ring. record() never allocates; the buffer
 /// is sized at construction (or attach time) and old events are
-/// overwritten once `capacity` is exceeded.
+/// overwritten once `capacity` is exceeded. Overwrite-oldest has one
+/// unsynchronized case: a writer stalled inside record() while the others
+/// lap the whole ring shares its slot with a concurrent store.
 class TraceRing {
  public:
   explicit TraceRing(std::size_t capacity = 1 << 14);
 
   /// Drop-in recording gate: rings can be individually disabled (a
-  /// disabled ring records nothing; hooks stay wired).
-  void set_recording(bool on) { recording_.store(on, std::memory_order_relaxed); }
+  /// disabled ring records nothing; hooks stay wired). Closing the gate
+  /// waits for every record() already past it to finish its store, so
+  /// once set_recording(false) returns no slot is mid-write and
+  /// snapshot() is safe against the writers.
+  void set_recording(bool on);
   bool recording() const { return recording_.load(std::memory_order_relaxed); }
 
   void record(const TraceEvent& ev) {
     if (!recording()) return;
-    const std::uint64_t slot = cursor_.fetch_add(1, std::memory_order_relaxed);
-    events_[static_cast<std::size_t>(slot % events_.size())] = ev;
+    // Announce the write, then re-check the gate. Both sides are seq_cst,
+    // so either this writer sees the gate closed or the closer sees it in
+    // flight and waits for the release below.
+    writers_.fetch_add(1, std::memory_order_seq_cst);
+    if (recording_.load(std::memory_order_seq_cst)) {
+      const std::uint64_t slot = cursor_.fetch_add(1, std::memory_order_relaxed);
+      events_[static_cast<std::size_t>(slot % events_.size())] = ev;
+    }
+    writers_.fetch_sub(1, std::memory_order_release);
   }
 
   std::size_t capacity() const { return events_.size(); }
@@ -97,7 +110,8 @@ class TraceRing {
   }
 
   /// Events in recording order (oldest surviving first). Not safe against
-  /// concurrent record(); snapshot after the workload quiesces.
+  /// concurrent record(); snapshot with recording off or after the
+  /// workload quiesces.
   std::vector<TraceEvent> snapshot() const;
 
   void clear() { cursor_.store(0, std::memory_order_relaxed); }
@@ -105,6 +119,7 @@ class TraceRing {
  private:
   std::vector<TraceEvent> events_;
   std::atomic<std::uint64_t> cursor_{0};
+  std::atomic<std::uint32_t> writers_{0};  ///< record() calls past the gate
   std::atomic<bool> recording_{true};
 };
 

@@ -258,7 +258,6 @@ EngineStats BatchedInferenceEngine::stats() const {
   s.mean_batch = ticks_ ? static_cast<double>(batch_sum_) / static_cast<double>(ticks_) : 0.0;
   s.max_batch = batch_max_;
   s.busy_seconds = busy_seconds_;
-  s.latency = latency_.snapshot();
   return s;
 }
 
@@ -374,11 +373,20 @@ void BatchedInferenceEngine::serve_batch(std::size_t take) {
   const double t1 = util::wall_seconds();
 
   // Publish the tick's stats and latency samples BEFORE any request
-  // resolves, so a report() taken right after a decision returns already
-  // counts the batch that served it. Latency reflects SERVED decisions
-  // only: a failed batch must not drag the quantiles the soak gates on.
+  // resolves, so a report() or scrape taken right after a decision returns
+  // already counts the batch that served it. Latency reflects SERVED
+  // decisions only: a failed batch must not drag the quantiles the soak
+  // gates on. Each bucket is stamped with the request id (exemplar).
   if (!failure) {
-    for (std::size_t i = 0; i < take; ++i) latency_.record_seconds(t1 - batch_[i].enqueue_seconds);
+    obs::Histogram& latency = decision_latency_histogram();
+    for (std::size_t i = 0; i < take; ++i) {
+      const double latency_seconds = t1 - batch_[i].enqueue_seconds;
+      if (batch_[i].request_id == 0) {
+        latency.record(latency_seconds);
+      } else {
+        latency.record(latency_seconds, batch_[i].request_id);
+      }
+    }
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -400,31 +408,23 @@ void BatchedInferenceEngine::serve_batch(std::size_t take) {
   }
   if (failure) return;
 
-  // Process-wide instruments and journey epilogues run after the callers
-  // are released: the decision-latency bucket is stamped with the request
-  // id (exemplar), and the [enqueue, served] slice lands in the wall ring
-  // tagged with the tick that carried it.
-  const bool tracing = obs::enabled();
+  // The served counter and journey epilogues run after the callers are
+  // released: the [enqueue, served] slice lands in the wall ring tagged
+  // with the tick that carried it.
+  engine_served_counter().add(take);
+  if (!obs::enabled()) return;
   for (std::size_t i = 0; i < take; ++i) {
-    const double enqueue_seconds = batch_[i].enqueue_seconds;
     const std::uint64_t request_id = batch_[i].request_id;
-    const double latency_seconds = t1 - enqueue_seconds;
-    engine_served_counter().add();
-    if (request_id == 0) {
-      decision_latency_histogram().record(latency_seconds);
-      continue;
-    }
-    decision_latency_histogram().record(latency_seconds, request_id);
-    if (tracing) {
-      obs::TraceEvent ev;
-      ev.kind = obs::TraceEventKind::kRequestComplete;
-      ev.ts = static_cast<std::int64_t>(enqueue_seconds * 1e6);
-      ev.dur = static_cast<std::int64_t>(latency_seconds * 1e6);
-      ev.arg0 = static_cast<std::int64_t>(request_id);
-      ev.arg1 = static_cast<std::int64_t>(tick_id);
-      ev.tid = static_cast<std::uint32_t>(obs::detail::thread_shard());
-      obs::global_trace().record(ev);
-    }
+    if (request_id == 0) continue;
+    const double enqueue_seconds = batch_[i].enqueue_seconds;
+    obs::TraceEvent ev;
+    ev.kind = obs::TraceEventKind::kRequestComplete;
+    ev.ts = static_cast<std::int64_t>(enqueue_seconds * 1e6);
+    ev.dur = static_cast<std::int64_t>((t1 - enqueue_seconds) * 1e6);
+    ev.arg0 = static_cast<std::int64_t>(request_id);
+    ev.arg1 = static_cast<std::int64_t>(tick_id);
+    ev.tid = static_cast<std::uint32_t>(obs::detail::thread_shard());
+    obs::global_trace().record(ev);
   }
 }
 

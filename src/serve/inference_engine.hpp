@@ -33,9 +33,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/metrics.hpp"
 #include "serve/model_registry.hpp"
-#include "util/stats.hpp"
 
 namespace mirage::obs {
 class Counter;
@@ -76,7 +74,6 @@ struct EngineStats {
   double mean_batch = 0.0;
   std::size_t max_batch = 0;
   double busy_seconds = 0.0;       ///< wall time spent inside forwards
-  LatencySnapshot latency;         ///< enqueue -> served (served only)
 };
 
 namespace detail {
@@ -275,15 +272,16 @@ class BatchedInferenceEngine {
   std::uint64_t batch_sum_ = 0;
   std::size_t batch_max_ = 0;
   double busy_seconds_ = 0.0;
-  LatencyRecorder latency_;
 };
 
 /// Process-wide decision-latency histogram
-/// ("mirage_serve_decision_latency_seconds"): exponential buckets with
-/// EXEMPLARS — each bucket remembers the last request id that landed in
-/// it, so a p99.9 reading links back to one concrete journey in the trace
-/// ring. Every engine records served decisions here; the serve SLO
-/// engine's latency objective reads it.
+/// ("mirage_serve_decision_latency_seconds"), the serving tier's one
+/// latency record: exponential buckets with EXEMPLARS — each bucket
+/// remembers the last request id that landed in it, so a p99.9 reading
+/// links back to one concrete journey in the trace ring. Every engine
+/// records each served decision here once, enqueue to served, before the
+/// request resolves; failed batches record nothing. The serve SLO
+/// engine's latency objective, metrics_text() and the benches read it.
 obs::Histogram& decision_latency_histogram();
 
 /// Process-wide served-decision counter ("mirage_serve_engine_served_total"),

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -697,28 +696,8 @@ std::string ProvisioningService::metrics_text() const {
   emit("mirage_serve_mean_batch", "mean batch size", "gauge", r.engine.mean_batch);
   emit("mirage_serve_busy_seconds", "engine busy time", "counter", r.engine.busy_seconds);
   emit("mirage_serve_uptime_seconds", "seconds since start()", "gauge", r.uptime_seconds);
-  // Latency as a Prometheus summary (exact reservoir quantiles, seconds).
-  out += "# HELP mirage_serve_latency_seconds request latency (reservoir quantiles)\n";
-  out += "# TYPE mirage_serve_latency_seconds summary\n";
-  const auto quantile = [&](const char* q, double ms) {
-    std::snprintf(line, sizeof(line), "mirage_serve_latency_seconds{quantile=\"%s\"} %.17g\n", q,
-                  ms * 1e-3);
-    out += line;
-  };
-  quantile("0.5", r.engine.latency.p50_ms);
-  quantile("0.95", r.engine.latency.p95_ms);
-  quantile("0.99", r.engine.latency.p99_ms);
-  quantile("0.999", r.engine.latency.p999_ms);
-  std::snprintf(line, sizeof(line), "mirage_serve_latency_seconds_sum %.17g\n",
-                r.engine.latency.mean_ms * 1e-3 * static_cast<double>(r.engine.latency.count));
-  out += line;
-  // The count is size_t-typed today but printed via a fixed-width cast:
-  // %zu would silently mismatch if the counter ever widens to uint64_t on
-  // an ILP32 target, and PRIu64 keeps the format portable either way.
-  std::snprintf(line, sizeof(line), "mirage_serve_latency_seconds_count %" PRIu64 "\n",
-                static_cast<std::uint64_t>(r.engine.latency.count));
-  out += line;
-  // Process-wide instruments (span histograms, scenario/serve counters).
+  // Process-wide instruments: span histograms, scenario/serve counters and
+  // the decision-latency histogram (mirage_serve_decision_latency_seconds).
   out += obs::registry().to_prometheus();
   return out;
 }

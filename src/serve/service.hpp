@@ -194,9 +194,10 @@ class ProvisioningService {
   std::size_t evict_expired();
   ServiceReport report() const;
 
-  /// Prometheus text exposition: service counters/gauges, engine batch and
-  /// latency stats (latency quantiles as a summary block), followed by the
-  /// process-wide obs registry dump (span histograms, scenario counters).
+  /// Prometheus text exposition: service counters/gauges and engine batch
+  /// stats, followed by the process-wide obs registry dump (span
+  /// histograms, scenario counters, and the decision-latency histogram
+  /// mirage_serve_decision_latency_seconds — the one latency record).
   /// This is the scrape endpoint body for an HTTP layer above the service.
   std::string metrics_text() const;
 

@@ -3,6 +3,9 @@
 // tracing-cannot-perturb-results contract on the sweep harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -99,18 +102,33 @@ TEST(Metrics, HistogramConcurrentRecordsAreExact) {
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(Metrics, ReservoirPercentilesAreExactUnderCapacity) {
-  ReservoirHistogram r(1024);
-  for (int i = 1; i <= 100; ++i) r.record(static_cast<double>(i));
-  const auto s = r.snapshot();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_NEAR(s.mean, 50.5, 1e-9);
-  EXPECT_NEAR(s.p50, 50.0, 1.0);
-  EXPECT_NEAR(s.p95, 95.0, 1.0);
-  EXPECT_NEAR(s.p99, 99.0, 1.0);
-  EXPECT_EQ(s.max, 100.0);
-  r.reset();
-  EXPECT_EQ(r.snapshot().count, 0u);
+TEST(Metrics, HistogramUpperEdgeBoundsTheExactPercentile) {
+  // A spread body (10 us .. 10 ms) plus a heavy tail (2% at ~0.2 s): for
+  // every q the upper edge of the bucket holding the q-th rank is never
+  // below the exact (nearest-rank) percentile, and the interpolated
+  // estimate stays inside that same bucket.
+  Histogram h;
+  std::vector<double> sample;
+  for (int i = 0; i < 980; ++i) sample.push_back(1e-5 * (1 + (i * 7919) % 1000));
+  for (int i = 0; i < 20; ++i) sample.push_back(0.2 + 1e-3 * i);
+  for (const double v : sample) h.record(v);
+  std::sort(sample.begin(), sample.end());
+  for (const double q : {50.0, 90.0, 95.0, 99.0, 99.5, 99.9}) {
+    const auto rank = static_cast<std::size_t>(std::ceil(q / 100.0 * sample.size()));
+    const double exact = sample[rank - 1];
+    const double upper = h.percentile_upper_seconds(q);
+    EXPECT_GE(upper, exact) << "q=" << q;
+    // Buckets are powers of two in microseconds: [upper/2, upper).
+    EXPECT_LE(upper, 2.0 * exact) << "q=" << q;
+    const double estimate = h.percentile(q);
+    EXPECT_GE(estimate, upper / 2.0) << "q=" << q;
+    EXPECT_LE(estimate, upper) << "q=" << q;
+  }
+  // p99 sits in the tail, not the body.
+  EXPECT_GE(h.percentile_upper_seconds(99.0), 0.2);
+  h.reset();
+  EXPECT_EQ(h.percentile_upper_seconds(99.0), 0.0);
+  EXPECT_EQ(h.percentile(99.0), 0.0);
 }
 
 TEST(Metrics, RegistryHandlesAreStableAndPrometheusExportIsStructured) {
@@ -282,6 +300,41 @@ TEST(Trace, DisabledRingRecordsNothing) {
   ring.set_recording(true);
   ring.record(TraceEvent{});
   EXPECT_EQ(ring.recorded(), 1u);
+}
+
+TEST(Trace, ClosingTheGateWaitsOutInFlightWriters) {
+  // Writers hammer a ring while the main thread repeatedly closes the gate
+  // and snapshots, the way FlightRecorder::dump does under live traffic.
+  // Once set_recording(false) returns, no writer may still be inside
+  // record(): the cursor stays put and every snapshotted event is whole
+  // (arg1 is always ~arg0 as written). Under TSan this is also the race
+  // check. The ring is large enough that writers never lap each other
+  // within one open window: two writers storing into one slot at once is
+  // a different hazard (see TraceRing's overwrite-oldest note).
+  TraceRing ring(1 << 16);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 3; ++w) {
+    writers.emplace_back([&ring, &stop, w] {
+      for (std::int64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        TraceEvent ev;
+        ev.arg0 = i * 4 + w;
+        ev.arg1 = ~ev.arg0;
+        ring.record(ev);
+      }
+    });
+  }
+  for (int round = 0; round < 100; ++round) {
+    ring.set_recording(false);
+    const std::uint64_t closed_at = ring.recorded();
+    for (const auto& ev : ring.snapshot()) ASSERT_EQ(ev.arg1, ~ev.arg0);
+    ASSERT_EQ(ring.recorded(), closed_at);
+    ring.set_recording(true);
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (auto& t : writers) t.join();
+  EXPECT_GT(ring.recorded(), 0u);
 }
 
 TEST(Trace, ChromeJsonExportValidatesAndCoversEveryKind) {

@@ -397,6 +397,7 @@ TEST(InferenceEngine, BatchesQueuedRequestsInOneTick) {
 
   // Queue before starting: the first tick must coalesce all of them.
   const std::size_t dim = test_net().history_len * test_net().state_dim;
+  const std::uint64_t recorded_before = decision_latency_histogram().count();
   std::vector<AsyncDecision> pending(10);
   for (auto& handle : pending) {
     std::vector<float> obs(dim, 0.1f);
@@ -410,7 +411,7 @@ TEST(InferenceEngine, BatchesQueuedRequestsInOneTick) {
   EXPECT_EQ(stats.requests, 10u);
   EXPECT_EQ(stats.max_batch, 10u);
   EXPECT_EQ(stats.ticks, 1u);
-  EXPECT_EQ(stats.latency.count, 10u);
+  EXPECT_EQ(decision_latency_histogram().count() - recorded_before, 10u);
 }
 
 TEST(InferenceEngine, ThrowingCompletionFailsOnlyItsOwnRequest) {
@@ -528,6 +529,7 @@ TEST(InferenceEngine, TruncatedModelOutputFailsWholeBatchLoudly) {
   EngineConfig cfg;
   cfg.coalesce_wait = std::chrono::microseconds(0);
   BatchedInferenceEngine engine([model] { return ModelSnapshot(model); }, cfg);
+  const std::uint64_t recorded_before = decision_latency_histogram().count();
 
   std::vector<AsyncDecision> pending(3);
   for (auto& handle : pending) {
@@ -547,7 +549,36 @@ TEST(InferenceEngine, TruncatedModelOutputFailsWholeBatchLoudly) {
   const auto stats = engine.stats();
   EXPECT_EQ(stats.requests, 3u);
   // Latency reflects SERVED decisions only — the failed batch recorded none.
-  EXPECT_EQ(stats.latency.count, 0u);
+  EXPECT_EQ(decision_latency_histogram().count() - recorded_before, 0u);
+}
+
+TEST(InferenceEngine, LatencyIsRecordedBeforeTheBatchResolves) {
+  // Completion hooks run on the engine thread before the request resolves,
+  // so a hook that reads the decision-latency histogram sees whether the
+  // tick recorded its samples first: it must already count its own
+  // decision.
+  auto model = std::make_shared<const StubModel>(4);
+  EngineConfig cfg;
+  cfg.coalesce_wait = std::chrono::microseconds(0);
+  BatchedInferenceEngine engine([model] { return ModelSnapshot(model); }, cfg);
+  engine.start();
+
+  std::uint64_t seen_by_hook = 0;
+  BatchedInferenceEngine::PooledCompletion completion;
+  completion.fn = [](void* seen, void*, void*, std::uint64_t, const Decision&) {
+    *static_cast<std::uint64_t*>(seen) = decision_latency_histogram().count();
+  };
+  completion.ctx_a = &seen_by_hook;
+  for (std::uint64_t i = 1; i <= 20; ++i) {
+    const std::uint64_t before = decision_latency_histogram().count();
+    std::vector<float> obs(4, 1.0f);
+    AsyncDecision handle;
+    ASSERT_EQ(engine.submit_pooled(obs, handle, completion, /*request_id=*/1000 + i),
+              BatchedInferenceEngine::SubmitResult::kOk);
+    handle.get();
+    ASSERT_EQ(seen_by_hook, before + 1) << "decision " << i;
+  }
+  engine.drain();
 }
 
 TEST(InferenceEngine, PooledDecidesRecycleTokens) {
@@ -832,9 +863,22 @@ TEST(ProvisioningService, MetricsTextExposesPrometheusCountersAndLatency) {
   EXPECT_NE(text.find("# TYPE mirage_serve_decisions_total counter"), std::string::npos) << text;
   EXPECT_NE(text.find("mirage_serve_decisions_total 5"), std::string::npos) << text;
   EXPECT_NE(text.find("mirage_serve_sessions_total 1"), std::string::npos);
-  EXPECT_NE(text.find("mirage_serve_latency_seconds{quantile=\"0.99\"}"), std::string::npos);
-  EXPECT_NE(text.find("mirage_serve_latency_seconds{quantile=\"0.999\"}"), std::string::npos);
-  EXPECT_NE(text.find("mirage_serve_latency_seconds_count 5"), std::string::npos);
+  // Latency has one record: the only serve latency family in the scrape is
+  // the process-wide decision-latency histogram.
+  std::vector<std::string> latency_families;
+  for (std::size_t pos = text.find("# TYPE mirage_serve_"); pos != std::string::npos;
+       pos = text.find("# TYPE mirage_serve_", pos + 1)) {
+    const std::string line = text.substr(pos, text.find('\n', pos) - pos);
+    if (line.find("latency") != std::string::npos) latency_families.push_back(line);
+  }
+  EXPECT_EQ(latency_families,
+            std::vector<std::string>{"# TYPE mirage_serve_decision_latency_seconds histogram"});
+  EXPECT_NE(text.find("mirage_serve_decision_latency_seconds_count " +
+                      std::to_string(decision_latency_histogram().count())),
+            std::string::npos)
+      << text;
+  std::string lint_error;
+  EXPECT_TRUE(obs::lint_prometheus_exposition(text, &lint_error)) << lint_error << "\n" << text;
   EXPECT_NE(text.find("mirage_serve_session_shards"), std::string::npos);
   EXPECT_NE(text.find("mirage_serve_rejected_backpressure_total 0"), std::string::npos);
   // The service exposition appends the process-wide obs registry, so span
@@ -1369,9 +1413,10 @@ TEST(ProvisioningService, ShardCountIsReportedAndConfigurable) {
 }
 
 TEST(ProvisioningService, ReportCountsADecisionAsSoonAsItReturns) {
-  // The engine publishes a tick's stats before it resolves any request of
-  // that tick, so a report taken right after decide() returns already
-  // counts the decision — nothing lags into the next reporting window.
+  // The engine publishes a tick's stats and latency samples before it
+  // resolves any request of that tick, so a report (or the latency
+  // histogram) read right after decide() returns already counts the
+  // decision — nothing lags into the next reporting window.
   auto model = std::make_shared<const StubModel>(test_net().history_len * rl::kFrameDim);
   ServiceConfig cfg;
   cfg.history_len = test_net().history_len;
@@ -1379,13 +1424,14 @@ TEST(ProvisioningService, ReportCountsADecisionAsSoonAsItReturns) {
   ProvisioningService service(ModelSnapshot(model), cfg);
   service.start();
   const SessionId id = service.open_session();
+  const std::uint64_t recorded_before = decision_latency_histogram().count();
   for (std::uint64_t i = 1; i <= 200; ++i) {
     service.decide(id);
     const auto report = service.report();
     ASSERT_EQ(report.decisions, i);
     ASSERT_EQ(report.engine.requests, i);
     ASSERT_EQ(report.engine.ticks, i);
-    ASSERT_EQ(report.engine.latency.count, i);
+    ASSERT_EQ(decision_latency_histogram().count() - recorded_before, i);
   }
   service.drain_and_stop();
 }
