@@ -461,6 +461,62 @@ TEST(Attention, OutputShapeAndBatchIndependence) {
   }
 }
 
+// ------------------------------------------------ Serving-shape inference
+//
+// The attention core and GELU run on the GEMM pool (nn/parallel.hpp) with
+// the same bitwise contract as the GEMM: parallel(T) == serial for every
+// T, and byte-identical to the serial kernels they replaced. The serving
+// shape is the paper's k=144 history at d_model 32, 2 heads.
+
+/// FNV-1a over the raw bit patterns of a tensor's floats.
+std::uint64_t tensor_hash(const Tensor& t) {
+  std::uint64_t h = util::kFnv1a64Basis;
+  for (const float v : t.flat()) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    h = util::fnv1a64(h, bits);
+  }
+  return h;
+}
+
+FoundationConfig serving_config(std::size_t history_len) {
+  FoundationConfig cfg;
+  cfg.history_len = history_len;
+  cfg.moe_experts = 8;
+  cfg.moe_top1 = true;
+  return cfg;
+}
+
+// The pinned hashes fold libm's exp/tanh results, which may differ in the
+// last ulp across libm implementations (the golden_test guard).
+#if defined(__x86_64__) && defined(__GLIBC__)
+constexpr bool kPinnedPlatform = true;
+#else
+constexpr bool kPinnedPlatform = false;
+#endif
+
+TEST(ServingInference, OutputsMatchPinnedHashesAtEveryThreadCount) {
+  if (!kPinnedPlatform) GTEST_SKIP() << "hashes are pinned to x86-64 + glibc libm";
+  const FoundationConfig cfg = serving_config(144);
+  Rng rng(144);
+  const Tensor hidden = random_matrix(16 * cfg.history_len, cfg.d_model, rng);
+  const Tensor histories = random_matrix(24, cfg.input_dim(), rng);
+  Rng init(2);
+  MultiHeadSelfAttention attn(cfg.history_len, cfg.d_model, cfg.num_heads, init);
+  MoEFoundation moe(cfg, 9);
+  // A one-decision batch at k=24 (the paced-serving shape) stays below
+  // every parallel floor: the serial kernels are pinned too.
+  const FoundationConfig paced = serving_config(24);
+  const Tensor pair = random_matrix(2, paced.input_dim(), rng);
+  MoEFoundation moe_paced(paced, 10);
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    ScopedNumThreads scope(threads);
+    EXPECT_EQ(tensor_hash(attn.forward(hidden, false)), 972261428048281644ull) << "mhsa, T=" << threads;
+    EXPECT_EQ(tensor_hash(moe.infer(histories)), 4475143620913849242ull) << "moe infer, T=" << threads;
+    EXPECT_EQ(tensor_hash(moe_paced.infer(pair)), 17569010354534611555ull) << "k=24 infer, T=" << threads;
+  }
+}
+
 // ------------------------------------------------------------- Foundation
 
 TEST(Foundation, PooledOutputShape) {
