@@ -3,12 +3,15 @@
 // throughput. These back the Figure 5/6 architecture cost discussion and
 // the §5.2 "low-overhead simulator" claim.
 //
-// Run with no arguments (CI mode) for the parallel-GEMM scaling harness:
-// matmul GFLOP/s at T=1,2,4,8,hw with a bitwise parallel-vs-serial audit
+// Run with no arguments (CI mode) for the parallel scaling harness:
+// matmul GFLOP/s at T=1,2,4,8,hw, and the attention forward at the
+// serving shape (2304 rows: 16 histories of k=144 frames, d_model 32,
+// 2 heads) at T=1 and T=hw, each with a bitwise parallel-vs-serial audit
 // (nonzero exit on any byte difference — the determinism contract is a
 // gate, not a hope), written to BENCH_nn_micro.json for the bench_compare
-// regression gate (key=gemm_gflops_tmax). Pass any --benchmark* flag to
-// run the google-benchmark suite instead.
+// regression gate (key=gemm_gflops_tmax; attention_ms_t1 and
+// attention_ms_tmax are report-only). Pass any --benchmark* flag to run
+// the google-benchmark suite instead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -180,10 +183,25 @@ double time_gemm_pass(const std::vector<GemmCase>& cases, std::size_t threads, i
   return best;
 }
 
-/// CI mode: measure matmul GFLOP/s across thread counts, audit that every
-/// thread count reproduces the serial bytes, emit BENCH_nn_micro.json.
-/// Returns the process exit code (nonzero = determinism violation).
-int run_gemm_scaling(int argc, char** argv) {
+/// Best-of-reps milliseconds of one attention forward at thread count T;
+/// `out` keeps the last forward's output (for the bitwise audit).
+double time_attention(nn::MultiHeadSelfAttention& attn, const nn::Tensor& x,
+                      std::size_t threads, int reps, nn::Tensor& out) {
+  nn::ScopedNumThreads scope(threads);
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const double t0 = util::wall_seconds();
+    out = attn.forward(x, false);
+    best = std::min(best, util::wall_seconds() - t0);
+  }
+  return 1e3 * best;
+}
+
+/// CI mode: measure matmul GFLOP/s across thread counts and the attention
+/// forward at T=1 and T=hw, audit that every thread count reproduces the
+/// serial bytes, emit BENCH_nn_micro.json. Returns the process exit code
+/// (nonzero = determinism violation).
+int run_scaling(int argc, char** argv) {
   const auto cli = util::Config::from_args(argc, argv);
   const int reps = static_cast<int>(cli.get_int("reps", 7));
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -249,14 +267,40 @@ int run_gemm_scaling(int argc, char** argv) {
                  "determinism contract is broken\n");
   }
 
+  // Attention forward at the serving shape: one Top-1 expert's share of a
+  // 64-decision serve batch at the paper's k=144.
+  constexpr std::size_t kSeq = 144, kItems = 16, kModel = 32, kHeads = 2;
+  util::Rng attn_rng(7);
+  nn::MultiHeadSelfAttention attn(kSeq, kModel, kHeads, attn_rng);
+  nn::Tensor hidden(kItems * kSeq, kModel);
+  for (float& v : hidden.flat()) v = static_cast<float>(attn_rng.normal());
+  nn::Tensor attn_t1, attn_tmax;
+  const double attention_ms_t1 = time_attention(attn, hidden, 1, reps, attn_t1);
+  const double attention_ms_tmax = time_attention(attn, hidden, hw, reps, attn_tmax);
+  const bool attention_same = std::memcmp(attn_t1.data(), attn_tmax.data(),
+                                          attn_t1.size() * sizeof(float)) == 0;
+  std::printf("attention forward %zux%zu, %zu heads: %.3f ms at T=1, %.3f ms at T=%zu "
+              "(%.2fx), bitwise %s\n",
+              kItems * kSeq, kModel, kHeads, attention_ms_t1, attention_ms_tmax, hw,
+              attention_ms_t1 / attention_ms_tmax, attention_same ? "ok" : "DIFF");
+  if (!attention_same) {
+    std::fprintf(stderr,
+                 "FAIL: parallel attention diverged from the serial bytes — the "
+                 "determinism contract is broken\n");
+  }
+  bitwise_ok = bitwise_ok && attention_same;
+
   bench::BenchJson json("nn_micro");
   json.add("params",
-           "sizes=128,192,256,90x170x310 reps=" + std::to_string(reps) +
+           "sizes=128,192,256,90x170x310 attention=2304x32h2k144 reps=" +
+               std::to_string(reps) +
                " tmax=" + std::to_string(tmax))
       .add("hardware_threads", static_cast<std::int64_t>(hw))
       .add("gemm_gflops_t1", gflops_t1)
       .add("gemm_gflops_tmax", gflops_tmax)
       .add("gemm_speedup_tmax", gflops_tmax / gflops_t1)
+      .add("attention_ms_t1", attention_ms_t1)
+      .add("attention_ms_tmax", attention_ms_tmax)
       .add("bitwise_identical", static_cast<std::int64_t>(bitwise_ok ? 1 : 0))
       .add_resource_fields()
       .write();
@@ -274,5 +318,5 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  return run_gemm_scaling(argc, argv);
+  return run_scaling(argc, argv);
 }

@@ -8,7 +8,7 @@
 //                  audited by the counting allocator: the steady-state
 //                  decide path must perform ZERO heap allocations
 //                  (observation buffers, ring slots and completion tokens
-//                  are preallocated / circulating; the latency histogram
+//                  are preallocated / recycled; the latency histogram
 //                  is fixed buckets). This is the gated decisions_per_sec
 //                  measurement;
 //   3. latency   — a paced async phase adds to the process-wide
@@ -201,9 +201,9 @@ int main(int argc, char** argv) {
               open_sessions_peak);
 
   // ---- phase 2: zero-alloc closed-loop steady state + tracing overhead ---
-  // Warmup grows every thread_local buffer and ring-slot capacity to
-  // steady size; then the measured window must not allocate at all. The
-  // phase runs in tracing-off/tracing-on pairs
+  // Warmup grows every thread_local buffer and the engine's free list of
+  // observation buffers to steady size; then the measured window must not
+  // allocate at all. The phase runs in tracing-off/tracing-on pairs
   // (obs::set_enabled gates journey events, spans and exemplars); the 3%
   // overhead gate takes the median paired ratio and the allocation audit
   // covers the TRACING-ON reps — the full judgement layer (journey
@@ -225,14 +225,13 @@ int main(int argc, char** argv) {
     for (std::size_t c = 0; c < clients; ++c) {
       workers.emplace_back([&, c] {
         serve::Decision d;
-        // Warmup must cycle the ENTIRE engine ring: every slot's
-        // observation buffer starts empty and allocates once when it
-        // first circulates back to a caller, so the audited window only
-        // starts after each of the max_queue slots has carried at least
-        // one request. Fresh client threads each rep also need their
+        // Warmup visits every hot session and grows the engine's free
+        // list of observation buffers to the in-flight depth: a caller
+        // gets an empty buffer back (and allocates once) only while that
+        // list is cold. Fresh client threads each rep also need their
         // thread_local observation buffers grown.
-        const std::size_t warm = cfg.engine.max_queue / clients + 1024;
         const std::size_t pool = std::min(hot, sids.size());
+        const std::size_t warm = pool + 1024;
         for (std::size_t i = 0; i < warm; ++i) {
           try_decide(svc, sids[(c * 7919 + i) % pool], d);
         }
@@ -388,11 +387,10 @@ int main(int argc, char** argv) {
         if (slot.valid()) (void)slot.get();
       }
     };
-    // Warm the token pool AND the full engine ring: every max_queue slot
-    // allocates its observation buffer the first time it circulates, so
-    // the audited window must start after each slot has carried at least
-    // one request (same sizing rule as the steady phase's warmup).
-    pump(cfg.engine.max_queue + 1024, 0);
+    // Warm the token pool and the engine's free list of observation
+    // buffers to window depth, visiting every hot session (same sizing
+    // rule as the steady phase's warmup).
+    pump(hot + 1024, 0);
     const std::uint64_t alloc0 = bench::allocation_count();
     const double pooled_t0 = util::wall_seconds();
     pump(pooled_n, 1);

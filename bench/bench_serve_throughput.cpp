@@ -2,17 +2,24 @@
 // batched serving beats the status-quo B=1 loop by >=4x decisions/sec on
 // the same checkpoint.
 //
-// The B=1 baseline is exactly what every caller does today
-// (rl::DqnAgent::q_pair -> dense forward over ALL MoE experts, two rows
-// at a time). The batched path is ServableModel::infer: requests
-// coalesce into one [B, k*(m+1)] tensor and, for Top-1 MoE checkpoints,
-// the gate routes rows into per-expert sub-batches so each expert runs
-// once over only its rows — the sparse-routing saving the paper left on
-// the table, which only stays GEMM-friendly when serving is batched.
+// The B=1 baseline is the status quo the target was set against: one
+// decision at a time through the DENSE forward over ALL MoE experts
+// (DualHeadModel::forward_q on the Q-pair's two action rows, or
+// forward_policy on the policy row). The batched path is
+// ServableModel::infer: requests coalesce into one [B, k*(m+1)] tensor
+// and, for Top-1 MoE checkpoints, the gate routes rows into per-expert
+// sub-batches so each expert runs once over only its rows — the
+// sparse-routing saving the paper left on the table, which only stays
+// GEMM-friendly when serving is batched.
 //
-// Three measurements on the same checkpoint (loaded through the real
+// act_greedy itself now routes its B=1 rows through Top-1 as well, so the
+// bench also times that loop and splits the speedup into its two parts:
+// routing_gain (Top-1 B=1 over dense B=1) and batching_gain (batched
+// over Top-1 B=1, same routing on both sides).
+//
+// Measurements on the same checkpoint (loaded through the real
 // ModelRegistry path):
-//   1. sequential B=1 serving (status quo);
+//   1. sequential B=1 serving: dense (status quo) and Top-1 (act_greedy);
 //   2. direct batched inference at several batch sizes;
 //   3. end-to-end engine serving (client threads -> coalescing queue ->
 //      batched tick), with p50/p95/p99 request latency.
@@ -27,6 +34,7 @@
 #include "bench_common.hpp"
 #include "core/checkpoint.hpp"
 #include "obs/metrics.hpp"
+#include "rl/replay_buffer.hpp"
 #include "rl/state_encoder.hpp"
 #include "serve/inference_engine.hpp"
 #include "serve/model_registry.hpp"
@@ -111,10 +119,10 @@ int main(int argc, char** argv) {
   // Warm up allocators and caches.
   model->infer({observations[0], observations[1]});
 
-  // ---- 1. sequential B=1 (status quo: q_pair, dense forward) -------------
-  // Reload the same checkpoint into a plain agent: this is precisely the
-  // serving path the offline pipeline (DqnProvisioner -> act_greedy)
-  // uses today.
+  // ---- 1. sequential B=1: dense (status quo) and Top-1 (act_greedy) -------
+  // Reload the same checkpoint into plain agents: act_greedy is the
+  // serving path the offline pipeline (DqnProvisioner -> act_greedy) uses
+  // today, and the agents' models run the dense forward.
   rl::DqnConfig base_cfg;
   base_cfg.foundation = nn::FoundationType::kMoE;
   base_cfg.net = net;
@@ -128,22 +136,48 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  double t0 = util::wall_seconds();
-  std::size_t submit_count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  // The rows one decision runs, as act_greedy builds them: the Q-pair's
+  // no-submit (-1) and submit (+1) action ordinals, or the policy's one
+  // row with the action channel zeroed.
+  nn::DualHeadModel& dense_model = kind == "pg" ? baseline_pg.model() : baseline.model();
+  const auto dense_decision = [&](std::vector<float> obs) {
     if (kind == "pg") {
-      submit_count += baseline_pg.act_greedy(observations[i]);
-    } else {
-      submit_count += baseline.act_greedy(observations[i]);
+      rl::set_action_channel(obs, net.history_len, 0.0f);
+      return dense_model.forward_policy(nn::Tensor::row_vector(obs), false).at(0, 1) > 0.5f ? 1
+                                                                                            : 0;
     }
+    nn::Tensor x(2, obs.size());
+    rl::set_action_channel(obs, net.history_len, -1.0f);
+    std::copy(obs.begin(), obs.end(), x.row(0));
+    rl::set_action_channel(obs, net.history_len, 1.0f);
+    std::copy(obs.begin(), obs.end(), x.row(1));
+    const nn::Tensor q = dense_model.forward_q(x, false);
+    return q.at(1, 0) > q.at(0, 0) ? 1 : 0;
+  };
+
+  double t0 = util::wall_seconds();
+  std::size_t dense_submits = 0;
+  for (std::size_t i = 0; i < n; ++i) dense_submits += dense_decision(observations[i]);
+  const double dense_seconds = util::wall_seconds() - t0;
+  const double seq_dps = static_cast<double>(n) / dense_seconds;
+  std::printf("%-34s %10.0f decisions/s   (%.2f s, %zu submits)\n",
+              "sequential B=1 dense (status quo)", seq_dps, dense_seconds, dense_submits);
+
+  t0 = util::wall_seconds();
+  std::size_t top1_submits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    top1_submits += kind == "pg" ? baseline_pg.act_greedy(observations[i])
+                                 : baseline.act_greedy(observations[i]);
   }
-  const double seq_seconds = util::wall_seconds() - t0;
-  const double seq_dps = static_cast<double>(n) / seq_seconds;
-  std::printf("%-28s %10.0f decisions/s   (%.2f s, %zu submits)\n",
-              "sequential B=1 (status quo)", seq_dps, seq_seconds, submit_count);
+  const double top1_seconds = util::wall_seconds() - t0;
+  const double top1_dps = static_cast<double>(n) / top1_seconds;
+  const double routing_gain = top1_dps / seq_dps;
+  std::printf("%-34s %10.0f decisions/s   %5.1fx vs B=1 (routing gain; %zu submits)\n",
+              "sequential B=1 act_greedy", top1_dps, routing_gain, top1_submits);
 
   // ---- 2. direct batched inference ---------------------------------------
   bool target_met = false;
+  double batching_gain = 0.0;
   for (const std::size_t b : batches) {
     t0 = util::wall_seconds();
     std::vector<std::vector<float>> chunk;
@@ -157,8 +191,9 @@ int main(int argc, char** argv) {
     const double dps = static_cast<double>(n) / seconds;
     const double speedup = dps / seq_dps;
     if (b >= 16 && speedup >= 4.0) target_met = true;
-    std::printf("%-28s %10.0f decisions/s   %5.1fx vs B=1\n",
-                ("batched B=" + std::to_string(b)).c_str(), dps, speedup);
+    batching_gain = std::max(batching_gain, dps / top1_dps);
+    std::printf("%-34s %10.0f decisions/s   %5.1fx vs B=1   %5.2fx batching gain\n",
+                ("batched B=" + std::to_string(b)).c_str(), dps, speedup, dps / top1_dps);
   }
 
   // ---- 3. end-to-end engine (coalescing queue, client threads) -----------
@@ -191,7 +226,7 @@ int main(int argc, char** argv) {
   engine.drain();
   const auto stats = engine.stats();
   const double engine_dps = static_cast<double>(n) / engine_seconds;
-  std::printf("%-28s %10.0f decisions/s   %5.1fx vs B=1   (%zu clients)\n",
+  std::printf("%-34s %10.0f decisions/s   %5.1fx vs B=1   (%zu clients)\n",
               "engine end-to-end", engine_dps, engine_dps / seq_dps, clients);
   std::printf("  ticks %llu  mean batch %.1f  max batch %zu\n",
               static_cast<unsigned long long>(stats.ticks), stats.mean_batch, stats.max_batch);
@@ -210,6 +245,9 @@ int main(int argc, char** argv) {
       .add("threads", static_cast<std::int64_t>(clients))
       .add("wall_seconds", engine_seconds)
       .add("sequential_decisions_per_sec", seq_dps)
+      .add("top1_b1_decisions_per_sec", top1_dps)
+      .add("routing_gain", routing_gain)
+      .add("batching_gain", batching_gain)
       .add("engine_decisions_per_sec", engine_dps)
       .add("latency_p99_ms", p99_ms)
       .add("target_met", static_cast<std::int64_t>(target_met ? 1 : 0));

@@ -2,6 +2,9 @@
 
 #include <cmath>
 
+#include "nn/parallel.hpp"
+#include "util/thread_pool.hpp"
+
 namespace mirage::nn {
 
 // ---------------------------------------------------------------- Linear
@@ -64,6 +67,11 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 
 namespace {
 constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
+/// One element's cost for the parallel floor, in multiply-adds. A
+/// std::tanh (~25-35 ns) takes as long as a few hundred GEMM
+/// multiply-adds; counting 64 puts the floor at 4096 elements, ~0.1 ms
+/// of serial work.
+constexpr std::size_t kGeluWork = 64;
 
 inline float gelu(float x) {
   const float inner = kGeluC * (x + 0.044715f * x * x * x);
@@ -82,7 +90,19 @@ inline float gelu_grad(float x) {
 Tensor GELU::forward(const Tensor& x, bool /*train*/) {
   cached_input_ = x;
   Tensor y = x;
-  for (float& v : y.flat()) v = gelu(v);
+  // Elementwise, so any split is bitwise serial: slot w of T owns the
+  // contiguous chunk [w*n/T, (w+1)*n/T) on the GEMM pool.
+  float* v = y.data();
+  const std::size_t n = y.size();
+  const std::size_t T = parallel_slots(n, n * kGeluWork);
+  const auto chunk = [&](std::size_t w) {
+    for (std::size_t i = n * w / T; i < n * (w + 1) / T; ++i) v[i] = gelu(v[i]);
+  };
+  if (T <= 1) {
+    chunk(0);
+  } else {
+    detail::gemm_pool().run_static(T, chunk);
+  }
   return y;
 }
 

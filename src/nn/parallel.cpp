@@ -11,6 +11,7 @@ namespace mirage::nn {
 namespace {
 std::atomic<std::size_t> g_num_threads{0};  // 0 = hardware_concurrency
 thread_local std::size_t t_override = 0;
+constexpr std::size_t kParallelMinWork = 64 * 64 * 64;  // multiply-adds
 }  // namespace
 
 void set_num_threads(std::size_t n) {
@@ -26,6 +27,11 @@ std::size_t num_threads() {
 ScopedNumThreads::ScopedNumThreads(std::size_t n) : prev_(t_override) { t_override = n; }
 
 ScopedNumThreads::~ScopedNumThreads() { t_override = prev_; }
+
+std::size_t parallel_slots(std::size_t units, std::size_t work) {
+  if (units <= 1 || work < kParallelMinWork) return 1;
+  return std::min(num_threads(), units);
+}
 
 namespace detail {
 

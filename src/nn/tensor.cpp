@@ -61,16 +61,19 @@ float Tensor::squared_norm() const {
 // run GEMM at 1 thread while serial runs fan out across the machine and
 // still produce bitwise-identical leaderboards.
 //
-// Small matrices (work < kParallelMinWork) take the serial whole-matrix
-// path outright so per-layer forwards of tiny models never pay dispatch
-// overhead (futures + wakeups cost microseconds; a 64^3 GEMM is one).
+// The tiles share the pool (and its static slot schedule) with the
+// attention pairs and GELU chunks; see nn/parallel.hpp. A tile kernel
+// never dispatches onto the pool itself.
+//
+// Small matrices (below nn::parallel_slots' work floor, ~64^3) take
+// the serial whole-matrix path outright so per-layer forwards of tiny
+// models never pay dispatch overhead (futures + wakeups cost
+// microseconds; a 64^3 GEMM is one).
 namespace {
 
 constexpr std::size_t kBlockK = 128;  // ~n*512 B of B per block: L1/L2-resident
 constexpr std::size_t kTileM = 16;    // multiple of the 4-row register block
 constexpr std::size_t kTileN = 256;   // long contiguous j runs for the vectorizer
-/// Parallelize only above this m*k*n volume (~a 64^3 GEMM).
-constexpr std::size_t kParallelMinWork = 64 * 64 * 64;
 
 /// ikj-order tile kernel for out[i0:i1, j0:j1] += A * B (A MxK, B KxN).
 /// The k loop is cache-blocked so one block of B rows stays hot across
@@ -207,15 +210,11 @@ void gemm_tn_tile(const float* __restrict a, const float* __restrict b,
 /// accumulating). `work` = m*k*n decides the serial fast path.
 template <typename Kernel>
 void dispatch_tiles(std::size_t m, std::size_t n, std::size_t work, Kernel&& kernel) {
-  const std::size_t threads = num_threads();
-  if (threads <= 1 || work < kParallelMinWork || m == 0 || n == 0) {
-    kernel(std::size_t{0}, m, std::size_t{0}, n);
-    return;
-  }
   const std::size_t tiles_m = (m + kTileM - 1) / kTileM;
   const std::size_t tiles_n = (n + kTileN - 1) / kTileN;
   const std::size_t tiles = tiles_m * tiles_n;
-  if (tiles <= 1) {
+  const std::size_t T = parallel_slots(tiles, work);
+  if (T <= 1) {
     kernel(std::size_t{0}, m, std::size_t{0}, n);
     return;
   }
@@ -223,7 +222,6 @@ void dispatch_tiles(std::size_t m, std::size_t n, std::size_t work, Kernel&& ker
   // order. Which OS thread runs a slot is irrelevant to results — slots
   // write disjoint tiles and every element's k reduction lives entirely
   // inside one slot.
-  const std::size_t T = std::min(threads, tiles);
   detail::gemm_pool().run_static(T, [&](std::size_t w) {
     for (std::size_t t = w; t < tiles; t += T) {
       const std::size_t ti = t / tiles_n;
@@ -299,19 +297,20 @@ void add_bias_rows(Tensor& x, const Tensor& bias) {
   }
 }
 
-void softmax_rows(Tensor& x) {
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    float* row = x.row(r);
-    float mx = row[0];
-    for (std::size_t c = 1; c < x.cols(); ++c) mx = std::max(mx, row[c]);
-    float sum = 0.0f;
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      row[c] = std::exp(row[c] - mx);
-      sum += row[c];
-    }
-    const float inv = 1.0f / sum;
-    for (std::size_t c = 0; c < x.cols(); ++c) row[c] *= inv;
+void softmax_row(float* row, std::size_t n) {
+  float mx = row[0];
+  for (std::size_t c = 1; c < n; ++c) mx = std::max(mx, row[c]);
+  float sum = 0.0f;
+  for (std::size_t c = 0; c < n; ++c) {
+    row[c] = std::exp(row[c] - mx);
+    sum += row[c];
   }
+  const float inv = 1.0f / sum;
+  for (std::size_t c = 0; c < n; ++c) row[c] *= inv;
+}
+
+void softmax_rows(Tensor& x) {
+  for (std::size_t r = 0; r < x.rows(); ++r) softmax_row(x.row(r), x.cols());
 }
 
 }  // namespace mirage::nn

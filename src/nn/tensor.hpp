@@ -74,7 +74,10 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate = 
 /// Add a 1×C bias row to every row of x (in place).
 void add_bias_rows(Tensor& x, const Tensor& bias);
 
-/// Row-wise softmax in place (numerically stable).
+/// Softmax of one n-float row in place (numerically stable).
+void softmax_row(float* row, std::size_t n);
+
+/// Row-wise softmax in place: softmax_row on every row.
 void softmax_rows(Tensor& x);
 
 }  // namespace mirage::nn

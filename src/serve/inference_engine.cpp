@@ -145,9 +145,9 @@ BatchedInferenceEngine::BatchedInferenceEngine(ModelResolver resolver, EngineCon
   if (config_.max_batch == 0) config_.max_batch = 1;
   if (config_.max_queue == 0) config_.max_queue = 1;
   ring_.resize(config_.max_queue);
+  spare_.reserve(config_.max_queue + config_.max_batch);
   batch_.resize(config_.max_batch);
   observations_.reserve(config_.max_batch);
-  row_pool_.reserve(config_.max_batch);
   decisions_.reserve(config_.max_batch);
 }
 
@@ -197,7 +197,12 @@ BatchedInferenceEngine::SubmitResult BatchedInferenceEngine::submit_pooled(
       token_pool_.release(token);
       return SubmitResult::kRejectedBackpressure;
     }
-    slot->observation.swap(observation);  // capacities circulate, no alloc
+    // The caller's buffer stays queued; a warm spare goes back to it.
+    slot->observation.swap(observation);
+    if (!spare_.empty()) {
+      observation.swap(spare_.back());
+      spare_.pop_back();
+    }
     slot->token = token;
     slot->enqueue_seconds = enqueue_seconds = util::wall_seconds();
     slot->request_id = request_id;
@@ -273,21 +278,17 @@ void BatchedInferenceEngine::run() {
                      [this] { return draining_ || queued_ >= config_.max_batch; });
       }
       take = std::min(queued_, config_.max_batch);
-      // Move requests out of the ring into the tick scratch. Observation
-      // buffers SWAP between ring slots and the reusable rows, so their
-      // capacities circulate instead of being reallocated every tick.
-      while (observations_.size() < take) {
-        if (!row_pool_.empty()) {
-          observations_.push_back(std::move(row_pool_.back()));
-          row_pool_.pop_back();
-        } else {
-          observations_.emplace_back();
+      // The previous batch's rows go back to the free list (an empty row,
+      // or one past the list's reserve, is dropped); then the queued
+      // buffers move out of the ring into this batch's rows, leaving their
+      // slots empty.
+      for (std::vector<float>& row : observations_) {
+        if (row.capacity() != 0 && spare_.size() < spare_.capacity()) {
+          spare_.push_back(std::move(row));
         }
       }
-      while (observations_.size() > take) {
-        row_pool_.push_back(std::move(observations_.back()));
-        observations_.pop_back();
-      }
+      observations_.clear();
+      observations_.resize(take);
       for (std::size_t i = 0; i < take; ++i) {
         Request& slot = ring_[head_];
         observations_[i].swap(slot.observation);

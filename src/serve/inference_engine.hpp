@@ -12,9 +12,12 @@
 // allocation storm.
 //
 // submit_pooled() is the one way into the ring. The caller's observation
-// buffer is swapped into a ring slot (capacities circulate, nothing is
-// freed) and the request borrows a recycled CompletionToken from the
-// engine's token pool; the returned AsyncDecision waits on that token.
+// buffer moves into a ring slot and the caller gets a warm buffer back
+// from the engine's free list; the tick returns the previous batch's rows
+// to that list, so capacities circulate and the buffers alive track the
+// in-flight depth, not max_queue. The request borrows a recycled
+// CompletionToken from the engine's token pool; the returned
+// AsyncDecision waits on that token.
 // Blocking callers simply get() it at once. Either way a steady-state
 // decision performs ZERO heap allocations end to end (audited by
 // bench_serve_soak with a stub model).
@@ -185,8 +188,9 @@ class BatchedInferenceEngine {
   };
 
   /// Enqueue one observation (flattened [k*(m+1)], action channel
-  /// ignored). The buffer is swapped into a ring slot — the caller gets
-  /// the displaced buffer back for reuse — and `out` waits on a recycled
+  /// ignored). The buffer moves into a ring slot — the caller gets a
+  /// buffer from the free list back for reuse (empty while the list is
+  /// cold) — and `out` waits on a recycled
   /// CompletionToken. On rejection/drain the observation is handed back
   /// untouched, `out` stays invalid and the token goes straight back to
   /// the pool. A batch failure (no model, short decision vector, bad
@@ -223,7 +227,7 @@ class BatchedInferenceEngine {
  private:
   /// One ring slot / in-flight request.
   struct Request {
-    std::vector<float> observation;  ///< buffer owned by the slot, reused
+    std::vector<float> observation;  ///< the queued buffer (empty once taken)
     detail::CompletionToken* token = nullptr;
     double enqueue_seconds = 0.0;
     std::uint64_t request_id = 0;    ///< journey id (0 = untraced caller)
@@ -246,6 +250,10 @@ class BatchedInferenceEngine {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<Request> ring_;      ///< bounded queue, preallocated
+  /// Warm observation buffers between uses: the tick returns the previous
+  /// batch's rows here and a submit hands one back to its caller.
+  /// Reserved for max_queue + max_batch entries, so it never reallocates.
+  std::vector<std::vector<float>> spare_;
   std::size_t head_ = 0;           ///< oldest queued request
   std::size_t queued_ = 0;         ///< live entries in the ring
   bool draining_ = false;
@@ -261,7 +269,6 @@ class BatchedInferenceEngine {
   std::uint64_t tick_seq_ = 0;                     ///< engine-thread tick id
   std::vector<Request> batch_;                     ///< metadata, <= max_batch
   std::vector<std::vector<float>> observations_;   ///< rows for infer_into
-  std::vector<std::vector<float>> row_pool_;       ///< spare row capacities
   std::vector<Decision> decisions_;
 
   // Stats (guarded by stats_mutex_ so snapshots don't contend with the

@@ -509,12 +509,104 @@ TEST(ServingInference, OutputsMatchPinnedHashesAtEveryThreadCount) {
   const FoundationConfig paced = serving_config(24);
   const Tensor pair = random_matrix(2, paced.input_dim(), rng);
   MoEFoundation moe_paced(paced, 10);
+  // The compact pipeline's training shape (d_head 8, k=16) and a ragged
+  // one (d_head 5, S=7) take the narrower blocks and the scalar tails.
+  FoundationConfig compact = serving_config(16);
+  compact.d_model = 16;
+  compact.num_layers = 1;
+  compact.ffn_hidden = 32;
+  compact.moe_experts = 3;
+  compact.moe_top1 = false;
+  const Tensor batch = random_matrix(32, compact.input_dim(), rng);
+  MoEFoundation moe_compact(compact, 11);
+  MultiHeadSelfAttention ragged(7, 10, 2, init);
+  const Tensor ragged_in = random_matrix(3 * 7, 10, rng);
   for (const std::size_t threads : {1, 2, 3, 4}) {
     ScopedNumThreads scope(threads);
-    EXPECT_EQ(tensor_hash(attn.forward(hidden, false)), 972261428048281644ull) << "mhsa, T=" << threads;
-    EXPECT_EQ(tensor_hash(moe.infer(histories)), 4475143620913849242ull) << "moe infer, T=" << threads;
-    EXPECT_EQ(tensor_hash(moe_paced.infer(pair)), 17569010354534611555ull) << "k=24 infer, T=" << threads;
+    EXPECT_EQ(tensor_hash(attn.forward(hidden, false)), 972261428048281644ull)
+        << "mhsa, T=" << threads;
+    EXPECT_EQ(tensor_hash(moe.infer(histories)), 4475143620913849242ull)
+        << "moe infer, T=" << threads;
+    EXPECT_EQ(tensor_hash(moe_paced.infer(pair)), 17569010354534611555ull)
+        << "k=24 infer, T=" << threads;
+    EXPECT_EQ(tensor_hash(moe_compact.forward(batch, true)), 17079213390549042038ull)
+        << "k=16 train, T=" << threads;
+    EXPECT_EQ(tensor_hash(ragged.forward(ragged_in, false)), 17250154587266757664ull)
+        << "ragged, T=" << threads;
   }
+}
+
+TEST(ServingInference, AttentionIsBitwiseIdenticalAcrossThreadCounts) {
+  // k=144: every batch clears the parallel floor (one item is 1.3M
+  // multiply-adds). k=24: one item stays serial, eight items do not.
+  const struct { std::size_t seq, items; } shapes[] = {{144, 1}, {144, 16}, {24, 1}, {24, 8}};
+  Rng rng(21);
+  for (const auto& shape : shapes) {
+    Rng init(3);
+    MultiHeadSelfAttention attn(shape.seq, 32, 2, init);
+    const Tensor x = random_matrix(shape.items * shape.seq, 32, rng);
+    Tensor ref_infer, ref_train;
+    {
+      ScopedNumThreads serial(1);
+      ref_infer = attn.forward(x, false);
+      ref_train = attn.forward(x, true);
+    }
+    // Training and inference forwards run one kernel: same bytes.
+    expect_bitwise_equal(ref_train, ref_infer, "train vs infer");
+    for (const std::size_t threads : {2, 3, 4}) {
+      ScopedNumThreads scope(threads);
+      expect_bitwise_equal(attn.forward(x, false), ref_infer, "mhsa infer");
+      expect_bitwise_equal(attn.forward(x, true), ref_train, "mhsa train");
+    }
+  }
+}
+
+TEST(ServingInference, MoEInferIsBitwiseIdenticalAcrossThreadCounts) {
+  const FoundationConfig cfg = serving_config(144);
+  MoEFoundation moe(cfg, 5);
+  Rng rng(22);
+  for (const std::size_t items : {1, 24}) {
+    const Tensor x = random_matrix(items, cfg.input_dim(), rng);
+    Tensor ref;
+    {
+      ScopedNumThreads serial(1);
+      ref = moe.infer(x);
+    }
+    for (const std::size_t threads : {2, 3, 4}) {
+      ScopedNumThreads scope(threads);
+      expect_bitwise_equal(moe.infer(x), ref, "moe infer");
+    }
+  }
+}
+
+TEST(ServingInference, GeluIsBitwiseIdenticalAcrossThreadCounts) {
+  // 100 elements stay serial; 3x65537 split into uneven chunks.
+  Rng rng(23);
+  for (const std::size_t cols : {100, 65537}) {
+    const Tensor x = random_matrix(3, cols, rng);
+    GELU gelu;
+    Tensor ref;
+    {
+      ScopedNumThreads serial(1);
+      ref = gelu.forward(x, false);
+    }
+    for (const std::size_t threads : {2, 3, 4}) {
+      ScopedNumThreads scope(threads);
+      expect_bitwise_equal(gelu.forward(x, false), ref, "gelu");
+    }
+  }
+}
+
+TEST(ServingInference, InferenceForwardKeepsNoAttentionMaps) {
+  Rng rng(24);
+  MultiHeadSelfAttention attn(6, 8, 2, rng);
+  const Tensor x = random_matrix(3 * 6, 8, rng);
+  attn.forward(x, false);
+  EXPECT_EQ(attn.cached_maps(), 0u);
+  attn.forward(x, true);
+  EXPECT_EQ(attn.cached_maps(), 3u * 2u);  // one [S, S] map per (item, head)
+  attn.forward(x, false);
+  EXPECT_EQ(attn.cached_maps(), 0u);  // an inference forward drops them
 }
 
 // ------------------------------------------------------------- Foundation
